@@ -4,8 +4,15 @@ Star-based special colorings are the workhorse: most builders produce a
 partition of the vertex labels 1..n-1 into groups whose label sums are the
 requested class sizes.  Each generated schedule is validated before being
 committed; on validation failure the constructor falls back to an explicit
-backtracking search over star partitions, so a wrong schedule can never
-leak out as a wrong coloring.
+backtracking search over star partitions.
+
+Every public builder post-checks what it returns with ``_checked`` exactly
+once per call: rainbow-freeness, the class sizes and, where promised,
+speciality.  Builders that recurse (the K_5/K_8 bases under peel/replay, the
+8k^2+1 construction) call each other through the unchecked private
+``_k3_base``, ``_k4_base`` and ``_gk_general``, so one public call pays for
+one certification, and a wrong schedule still cannot leak out as a wrong
+coloring.
 """
 
 from __future__ import annotations
@@ -41,7 +48,13 @@ class NotConstructed:
 
 
 def _checked(c: Coloring, want: Distribution, *, special: bool = False) -> Coloring:
-    """Post-check every constructed coloring; fail loudly on a mismatch."""
+    """Certify a builder's result; fail loudly on a mismatch.
+
+    Runs once per public call, on the coloring that call returns; the
+    recursion below a public builder is not re-certified level by level.
+    ``rainbow_witness`` skips the one-color star rows on top, so a special
+    coloring costs O(E) here.
+    """
     w = verify.rainbow_witness(c)
     if w is not None:
         raise InternalScheduleError(f"construction produced rainbow triangle {w}")
@@ -371,7 +384,19 @@ def extend_by_star(c: Coloring, color: int) -> Coloring:
     """
     if not (1 <= color <= c.k + 1):
         raise PreconditionViolated(f"color must be in 1..{c.k + 1}, got {color}")
-    return Coloring(c.n + 1, c.colex_colors() + (color,) * c.n)
+    return _join_stars(c, [color])
+
+
+def _join_stars(c: Coloring, colors: Sequence[int]) -> Coloring:
+    """Add one vertex per entry, each joined to all earlier vertices in it.
+
+    The new rows go to the end of the colex array, so the result is built
+    as a single Coloring however many vertices are added.
+    """
+    arr = list(c.colex_colors())
+    for v, col in enumerate(colors, start=c.n):
+        arr += [col] * v
+    return Coloring(c.n + len(colors), arr)
 
 
 def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[int, ...]]:
@@ -379,7 +404,7 @@ def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[in
 
     At each intermediate size n' the current largest class loses n'-1 edges.
     Returns the residual distribution and the log of peeled class positions
-    (indices into d.sizes); replaying the log with extend_by_star restores d.
+    (indices into d.sizes); replay_peel re-attaches the stars and restores d.
     """
     if not (1 <= base_n <= d.n):
         raise PreconditionViolated(f"need 1 <= base_n <= {d.n}, got {base_n}")
@@ -411,14 +436,15 @@ def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring
     if [slots[i] for i in by_size] != [base.counts[col - 1] for col in base_colors]:
         raise PreconditionViolated("base coloring does not match the peeled distribution")
     slot_color = dict(zip(by_size, base_colors))
-    c = base
+    k = base.k
+    colors = []
     for slot in reversed(log):
         col = slot_color.get(slot)
         if col is None:
-            col = c.k + 1
-            slot_color[slot] = col
-        c = extend_by_star(c, col)
-    return c
+            k += 1
+            col = slot_color[slot] = k
+        colors.append(col)
+    return _join_stars(base, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +469,10 @@ def construct_k3_base(d: Distribution) -> Coloring:
     """
     if d.n != 5 or d.k != 3:
         raise PreconditionViolated(f"need a 3-part distribution on K_5, got {d}")
+    return _checked(_k3_base(d), d)
+
+
+def _k3_base(d: Distribution) -> Coloring:
     key = d.sizes
     if key in _K3_TABLE:
         c = special_coloring(star_partition(5, _K3_TABLE[key]))
@@ -471,7 +501,7 @@ def construct_k3_base(d: Distribution) -> Coloring:
         c = Coloring.from_edges(5, edges)
     else:  # pragma: no cover - the eight cases above are exhaustive
         raise InternalScheduleError(f"unexpected distribution {d}")
-    return _checked(c, d)
+    return c
 
 
 def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
@@ -611,19 +641,24 @@ def construct_k4_base(d: Distribution) -> Coloring:
     """
     if d.n != 8 or d.k != 4:
         raise PreconditionViolated(f"need a 4-part distribution on K_8, got {d}")
+    return _checked(_k4_base(d), d)
+
+
+def _k4_base(d: Distribution) -> Coloring:
+    """Unchecked K_8 base; a schedule with the wrong class sizes falls through."""
     try:
         c = _k4_schedule(d)
-        if c is not None:
-            return _checked(c, d)
+        if c is not None and verify.class_sizes(c) == d:
+            return c
     except (InternalScheduleError, PreconditionViolated, PeelImpossible):
         pass
     sp = star_partition_for(d)
     if sp is not None:
-        return _checked(special_coloring(sp), d)
+        return special_coloring(sp)
     arr = _small_gallai(8, d.sizes)
     if arr is None:
         raise InternalScheduleError(f"no coloring found for {d} (expected total)")
-    return _checked(Coloring(8, arr), d)
+    return Coloring(8, arr)
 
 
 def _k4_schedule(d: Distribution) -> Optional[Coloring]:
@@ -633,22 +668,10 @@ def _k4_schedule(d: Distribution) -> Optional[Coloring]:
         """Realize the reduced slot sizes on K_inner_n, then re-attach stars.
 
         ``steps`` lists the slot receiving each star for inner_n, inner_n+1,
-        ... edges in turn.
+        ... edges in turn, i.e. a peel log read backwards.
         """
         inner = canonicalize([s for s in slots if s > 0], inner_n)
-        c = _construct_guaranteed(inner)
-        live = sorted(
-            (i for i, s in enumerate(slots) if s > 0), key=lambda i: (-slots[i], i)
-        )
-        ranked = sorted(range(1, c.k + 1), key=lambda col: (-c.counts[col - 1], col))
-        slot_color = dict(zip(live, ranked))
-        for slot in steps:
-            col = slot_color.get(slot)
-            if col is None:
-                col = c.k + 1
-                slot_color[slot] = col
-            c = extend_by_star(c, col)
-        return c
+        return replay_peel(_construct_guaranteed(inner), d, steps[::-1])
 
     if 7 in sizes:
         s7 = sizes.index(7)
@@ -687,14 +710,14 @@ def _k4_schedule(d: Distribution) -> Optional[Coloring]:
         )
         if inner is None:
             return None
-        return extend_by_star(inner, 2)
+        return _join_stars(inner, [2])
     if bigs == [0, 1, 2]:
         inner = _realize_on_cliques(
             6, [(2, sizes[1] - 7), (3, sizes[2] - 6), (4, sizes[3])], 1
         )
         if inner is None:
             return None
-        return extend_by_star(extend_by_star(inner, 3), 2)
+        return _join_stars(inner, [3, 2])
     raise InternalScheduleError(f"unexpected shape for a 4-part distribution of 28: {d}")
 
 
@@ -719,16 +742,23 @@ def construct_gk_general(d: Distribution, stats: Optional[dict] = None) -> Color
     if stats is not None:
         stats.setdefault("levels", [])
         stats.setdefault("peeled_to_threshold", n - threshold)
+    return _checked(_gk_general(d, stats), d)
+
+
+def _gk_general(d: Distribution, stats: Optional[dict]) -> Coloring:
+    """Unchecked body of construct_gk_general (preconditions already hold)."""
+    k, n = d.k, d.n
+    threshold = 8 * k * k + 1
     if n > threshold:
         base, log = peel_reduction(d, threshold)
-        if base.k == k and base.k >= 3:
-            inner = construct_gk_general(base, stats)
+        if base.k == k:
+            inner = _gk_general(base, stats)
         else:
             inner = _construct_guaranteed(base)
-        return _checked(replay_peel(inner, d, log), d)
+        return replay_peel(inner, d, log)
     if k == 3:
-        return _checked(_construct_guaranteed(d), d)
-    return _checked(_gk_phases(d, stats), d)
+        return _construct_guaranteed(d)
+    return _gk_phases(d, stats)
 
 
 def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
@@ -741,8 +771,7 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     while e_small >= m - 1:
         v = m - 1
         base = v * (v - 1) // 2
-        for t in range(v):
-            arr[base + t] = k
+        arr[base : base + v] = [k] * v
         e_small -= m - 1
         m -= 1
         stars += 1
@@ -751,18 +780,16 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     n_rest = start
     if n_rest < 1:
         raise InternalScheduleError(f"block does not fit: n={n}, k={k}, stars={stars}")
-    # Residue of the smallest class inside the block, greedy stars first.
+    # Block rows: color 1 down to the rest, then the residue of the smallest
+    # class inside the block, greedy stars first.
     rem = e_small
-    for j in range(block - 1, 0, -1):
+    for j in range(block - 1, -1, -1):
         take = min(rem, j)
-        for t in range(j):
-            arr[edge_index(start + t, start + j)] = k if t < take else 1
+        base = (start + j) * (start + j - 1) // 2
+        arr[base : base + start + j] = [1] * start + [k] * take + [1] * (j - take)
         rem -= take
     if rem:
         raise InternalScheduleError(f"block capacity exceeded: n={n}, k={k}")
-    for v in range(start, m):
-        for u in range(start):
-            arr[edge_index(u, v)] = 1
     cost1 = block * n_rest + (total_edges(block) - e_small)
     e1_rest = sizes[0] - cost1
     if e1_rest < 0:
@@ -780,8 +807,8 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     if [csub.counts[col - 1] for col in ranked] != [s for s, _ in want]:
         raise InternalScheduleError("recursive level does not match the residual sizes")
     cmap = {sub_col: col for sub_col, (_, col) in zip(ranked, want)}
-    for u, v, col in csub.edges():
-        arr[edge_index(u, v)] = cmap[col]
+    # K_{n_rest} on vertices 0..n_rest-1 is exactly the colex prefix.
+    arr[: total_edges(n_rest)] = [cmap[col] for col in csub.colex_colors()]
     return Coloring(n, arr)
 
 
@@ -796,17 +823,17 @@ def _construct_guaranteed(d: Distribution, stats: Optional[dict] = None) -> Colo
         if n < 5:
             raise PreconditionViolated(f"three colors need n >= 5, got n={n}")
         if n == 5:
-            return construct_k3_base(d)
+            return _k3_base(d)
         base, log = peel_reduction(d, 5)
         return replay_peel(_construct_guaranteed(base), d, log)
     if k == 4:
         if n < 8:
             raise PreconditionViolated(f"four colors need n >= 8, got n={n}")
         if n == 8:
-            return construct_k4_base(d)
+            return _k4_base(d)
         base, log = peel_reduction(d, 8)
         return replay_peel(_construct_guaranteed(base), d, log)
-    return construct_gk_general(d, stats)
+    return _gk_general(d, stats)
 
 
 # ---------------------------------------------------------------------------

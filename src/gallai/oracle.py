@@ -18,6 +18,7 @@ from .core import (
     BudgetExceeded,
     Coloring,
     Distribution,
+    InternalScheduleError,
     Verdict,
     canonicalize,
     total_edges,
@@ -212,19 +213,29 @@ def search_realizable(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_backtrack_worker, tasks))
         nodes = sum(r[2] for r in results)
-        for tag, colors, _ in results:
-            if tag == "feasible":
-                assert colors is not None
-                return Verdict("feasible", Coloring(d.n, colors), nodes)
-        if any(tag == "unknown" for tag, _, _ in results):
-            return Verdict("unknown", None, nodes)
-        return Verdict("infeasible", None, nodes)
-
-    tag, colors, nodes = _backtrack(d.n, d.sizes, max_nodes, deadline)
+        tags = [tag for tag, _, _ in results]
+        if "feasible" in tags:
+            tag, colors, _ = results[tags.index("feasible")]
+        else:
+            tag = "unknown" if "unknown" in tags else "infeasible"
+    else:
+        tag, colors, nodes = _backtrack(d.n, d.sizes, max_nodes, deadline)
     if tag == "feasible":
         assert colors is not None
-        return Verdict("feasible", Coloring(d.n, colors), nodes)
+        return Verdict("feasible", _checked_witness(d, colors), nodes)
     return Verdict(tag, None, nodes)
+
+
+def _checked_witness(d: Distribution, colors: tuple[int, ...]) -> Coloring:
+    """The search's witness, certified before it is handed out."""
+    c = Coloring(d.n, colors)
+    w = verify.rainbow_witness(c)
+    if w is not None:
+        raise InternalScheduleError(f"search witness for {d} has rainbow triangle {w}")
+    got = verify.class_sizes(c)
+    if got != d:
+        raise InternalScheduleError(f"search witness has sizes {got.sizes}, wanted {d.sizes}")
+    return c
 
 
 @dataclass(frozen=True)

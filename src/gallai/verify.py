@@ -25,11 +25,9 @@ from .core import (
 )
 
 
-def _color_matrix(c: Coloring) -> np.ndarray:
-    """Symmetric n x n matrix of edge colors (diagonal 0)."""
-    n = c.n
-    mat = np.zeros((n, n), dtype=np.int32)
-    arr = np.asarray(c.colex_colors(), dtype=np.int32)
+def _color_matrix(arr: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric n x n matrix of the colex colors ``arr`` of K_n (diagonal 0)."""
+    mat = np.zeros((n, n), dtype=arr.dtype)
     pos = 0
     for v in range(1, n):
         row = arr[pos : pos + v]
@@ -40,27 +38,39 @@ def _color_matrix(c: Coloring) -> np.ndarray:
 
 
 def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
-    """Return a triangle with three pairwise-distinct edge colors, or None.
+    """Return the lexicographically first rainbow triangle (u, v, w), or None.
 
-    Scans all triangles; vectorized row-by-row so that large instances stay
-    cheap while the result is still the plain exhaustive check.
+    Star-suffix argument: if all down-edges of a vertex w (those to 0..w-1)
+    share one color, w is not the top of any rainbow triangle, since its two
+    edges in the triangle agree.  Let s be the least vertex such that every
+    vertex from s up has a one-color down-row.  Then every rainbow triangle
+    lies inside 0..s-1, whose edges are the colex prefix of length
+    s(s-1)/2, and scanning only that prefix returns the same witness as a
+    scan of all of K_n.  Finding s is O(E) with two ``reduceat`` passes; a
+    special coloring has s <= 2 and is not scanned at all.  The scan is
+    O(s^3), vectorized row by row against one strict upper-triangular mask.
     """
     n = c.n
     if n < 3 or c.k < 3:
         return None
-    mat = _color_matrix(c)
-    for u in range(n - 2):
+    arr = np.asarray(c.colex_colors(), dtype=np.int32)
+    starts = np.arange(1, n) * np.arange(n - 1) // 2  # row of vertex v starts at v(v-1)/2
+    mixed = np.flatnonzero(np.minimum.reduceat(arr, starts) != np.maximum.reduceat(arr, starts))
+    if mixed.size == 0:
+        return None
+    s = int(mixed[-1]) + 2  # the last mixed row belongs to vertex s-1
+    mat = _color_matrix(arr[: s * (s - 1) // 2], s)
+    upper = np.triu(np.ones((s - 1, s - 1), dtype=bool), k=1)
+    for u in range(s - 2):
+        m = s - u - 1
         a = mat[u, u + 1 :]
         sub = mat[u + 1 :, u + 1 :]
         bad = (a[:, None] != a[None, :]) & (a[:, None] != sub) & (a[None, :] != sub)
-        if n - u - 1 >= 2:
-            iu = np.triu_indices(n - u - 1, k=1)
-            hits = np.nonzero(bad[iu])[0]
-            if hits.size:
-                h = hits[0]
-                v = int(iu[0][h]) + u + 1
-                w = int(iu[1][h]) + u + 1
-                return (u, v, w)
+        bad &= upper[u:, u:]
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            h = int(hits[0])
+            return (u, u + 1 + h // m, u + 1 + h % m)
     return None
 
 

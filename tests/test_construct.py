@@ -456,3 +456,54 @@ class TestConstructAny:
                         assert verdict.is_feasible
                     else:
                         assert verdict.is_infeasible
+
+
+class TestWorkCounts:
+    """Guards by counts, not time: certification and replay do not grow with n."""
+
+    @staticmethod
+    def _counted(monkeypatch, build):
+        from gallai import verify
+
+        calls = {"rainbow_witness": 0, "Coloring": 0}
+        real_witness = verify.rainbow_witness
+        real_init = Coloring.__init__
+
+        def witness(c):
+            calls["rainbow_witness"] += 1
+            return real_witness(c)
+
+        def init(self, *args, **kwargs):
+            calls["Coloring"] += 1
+            real_init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "rainbow_witness", witness)
+            m.setattr(Coloring, "__init__", init)
+            result = build()
+        return result, calls
+
+    def test_construct_any_certifies_once_per_call(self, monkeypatch):
+        d205 = canonicalize(balanced_sizes(205, 5), 205)
+        # Peeling d215 removes the stars 214..205 from its first class and
+        # lands on d205, so both take the same path below K_205.
+        d215 = canonicalize((d205.sizes[0] + sum(range(205, 215)),) + d205.sizes[1:], 215)
+        counts = []
+        for d in (d205, d215):
+            construct_any(d)  # fills the process-wide K_8 base memo
+            c, calls = self._counted(monkeypatch, lambda: construct_any(d))
+            verified(c, d.sizes)
+            counts.append(calls)
+        assert [calls["rainbow_witness"] for calls in counts] == [1, 1]
+        assert counts[0]["Coloring"] == counts[1]["Coloring"]
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 30])
+    def test_replay_builds_one_coloring(self, monkeypatch, n):
+        d = canonicalize(balanced_sizes(n, 3), n)
+        base, log = peel_reduction(d, 5)
+        built = construct_any(base)
+        assert isinstance(built, Coloring)
+        c, calls = self._counted(monkeypatch, lambda: replay_peel(built, d, log))
+        assert len(log) == n - 5
+        assert calls["Coloring"] == 1
+        verified(c, d.sizes)

@@ -132,3 +132,40 @@ class TestSoundness:
                         assert v.witness is not None
                         assert is_gallai(v.witness)
                         assert class_sizes(v.witness) == d
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWitnessCheck:
+    # (8,3,3,1) on K_6 has no special coloring, so the backtracker answers it.
+    D = canonicalize([8, 3, 3, 1], 6)
+    # Triangle {0,1,2} is rainbow; the class sizes are still (8,3,3,1).
+    RAINBOW = (1, 2, 3) + (1,) * 7 + (2, 2, 3, 3, 4)
+    # Rainbow-free (one color) but with the wrong class sizes.
+    WRONG_SIZES = (1,) * 15
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("colors", [RAINBOW, WRONG_SIZES])
+    def test_bad_backtrack_witness_is_refused(self, monkeypatch, jobs, colors):
+        from gallai import oracle
+        from gallai.core import Coloring, InternalScheduleError
+
+        assert class_sizes(Coloring(6, self.RAINBOW)) == self.D
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(oracle, "_backtrack", lambda *args: ("feasible", colors, 1))
+        with pytest.raises(InternalScheduleError):
+            search_realizable(self.D, jobs=jobs)

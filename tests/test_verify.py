@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gallai.core import Coloring, NotGallai, PreconditionViolated, canonicalize, total_edges
-from gallai.construct import special_coloring, _lex_fill
+from gallai.construct import extend_by_star, special_coloring, _lex_fill
 from gallai.core import star_partition
 from gallai.generator import random_gallai
 from gallai.verify import (
@@ -22,6 +22,14 @@ from conftest import arbitrary_colorings, naive_rainbow
 
 def special(n, groups):
     return special_coloring(star_partition(n, groups))
+
+
+def _one_rainbow_triangle() -> Coloring:
+    """K_5 in color 1 except (1, 4) = 3 and (3, 4) = 2: only {1, 3, 4} is rainbow."""
+    recolor = {(1, 4): 3, (3, 4): 2}
+    return Coloring.from_edges(
+        5, [(u, v, recolor.get((u, v), 1)) for u in range(5) for v in range(u + 1, 5)]
+    )
 
 
 class TestRainbow:
@@ -47,12 +55,38 @@ class TestRainbow:
 
     @given(arbitrary_colorings(max_n=7))
     def test_matches_naive_scan(self, c):
-        assert (rainbow_witness(c) is None) == (naive_rainbow(c) is None)
+        assert rainbow_witness(c) == naive_rainbow(c)
 
     @given(arbitrary_colorings(min_n=8, max_n=12, max_colors=6))
     @settings(max_examples=30)
     def test_matches_naive_scan_bigger(self, c):
-        assert (rainbow_witness(c) is None) == (naive_rainbow(c) is None)
+        assert rainbow_witness(c) == naive_rainbow(c)
+
+    @given(
+        arbitrary_colorings(min_n=3, max_n=8, max_colors=5),
+        st.lists(st.integers(min_value=1, max_value=8), max_size=5),
+    )
+    @settings(max_examples=60)
+    def test_star_suffix_keeps_the_first_witness(self, base, picks):
+        # A one-color suffix on top of a base that may hold rainbow triangles.
+        c = base
+        for pick in picks:
+            c = extend_by_star(c, min(pick, c.k + 1))
+        assert rainbow_witness(c) == naive_rainbow(c)
+
+    def test_only_triangle_tops_the_last_mixed_row(self):
+        # Vertex 4 is the last vertex whose down-row has two colors; vertices
+        # 5 and 6 are one-color stars on top of it.
+        c = extend_by_star(extend_by_star(_one_rainbow_triangle(), 1), 2)
+        assert naive_rainbow(c) == (1, 3, 4)
+        assert rainbow_witness(c) == (1, 3, 4)
+
+    def test_one_color_row_below_a_mixed_row_is_scanned(self):
+        # Vertex 3 has a one-color down-row but sits below the mixed row of
+        # vertex 4, and the only rainbow triangle passes through it.
+        c = _one_rainbow_triangle()
+        assert len({c.edge_color(u, 3) for u in range(3)}) == 1
+        assert rainbow_witness(c) == naive_rainbow(c) == (1, 3, 4)
 
 
 class TestClassSizes:
