@@ -15,7 +15,6 @@ from .core import (
     Coloring,
     GallaiError,
     DivisionParams,
-    ParseError,
     PreconditionViolated,
     canonicalize,
     deserialize,
@@ -249,10 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PreconditionViolated, GallaiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (GallaiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,9 +2,10 @@
 
 Star-based special colorings are the workhorse: most builders produce a
 partition of the vertex labels 1..n-1 into groups whose label sums are the
-requested class sizes.  Each generated schedule is validated before being
-committed; on validation failure the constructor falls back to an explicit
-backtracking search over star partitions.
+requested class sizes.  The division and balanced schedules follow the
+paper's constructive proofs and have no fallback to star search: a schedule
+that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
+label partition, ``InternalScheduleError`` for wrong class sizes).
 
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: rainbow-freeness, the class sizes and, where promised,
@@ -67,7 +68,7 @@ def _checked(c: Coloring, want: Distribution, *, special: bool = False) -> Color
 
 
 # ---------------------------------------------------------------------------
-# Special colorings and the star-partition fallback solver
+# Special colorings and the star-partition solver
 # ---------------------------------------------------------------------------
 
 def special_coloring(sp: StarPartition) -> Coloring:
@@ -138,13 +139,6 @@ def star_partition_for(
     for idx, g in enumerate(assign):
         groups[g].append(n - 1 - idx)
     return star_partition(n, groups)
-
-
-def _fallback_star(d: Distribution, context: str) -> Coloring:
-    sp = star_partition_for(d, max_nodes=20_000_000)
-    if sp is None:
-        raise InternalScheduleError(f"{context}: schedule failed and no star partition exists for {d}")
-    return special_coloring(sp)
 
 
 # ---------------------------------------------------------------------------
@@ -240,39 +234,17 @@ def _pair(hi: int, lo: int) -> list[int]:
     return [hi] if lo == 0 else [hi, lo]
 
 
-def _validate_label_groups(n: int, groups: Sequence[Sequence[int]]) -> bool:
-    seen: set[int] = set()
-    for g in groups:
-        for i in g:
-            if not (1 <= i <= n - 1) or i in seen:
-                return False
-            seen.add(i)
-    return len(seen) == n - 1
-
-
 def construct_division(params: DivisionParams) -> Coloring:
     """Special coloring with k classes of p edges and one class of q edges."""
     n, k, p, q = params.n, params.k, params.p, params.q
     target = params.target()
     if n == 1:
         return Coloring(1, ())
-    try:
-        pgroups, qgroup = _division_groups(n, k, p, q)
-        groups = [g for g in pgroups if g]
-        if qgroup:
-            groups.append(qgroup)
-        ok = (
-            _validate_label_groups(n, groups)
-            and len(pgroups) == k
-            and all(sum(g) == p for g in pgroups)
-            and sum(qgroup) == q
-        )
-        if not ok:
-            raise InternalScheduleError(f"division schedule invalid for n={n}, k={k}, p={p}, q={q}")
-        c = special_coloring(star_partition(n, groups))
-    except InternalScheduleError:
-        c = _fallback_star(target, f"division n={n} k={k} p={p} q={q}")
-    return _checked(c, target, special=True)
+    pgroups, qgroup = _division_groups(n, k, p, q)
+    groups = [g for g in pgroups if g]
+    if qgroup:
+        groups.append(qgroup)
+    return _checked(special_coloring(star_partition(n, groups)), target, special=True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +332,7 @@ def construct_balanced(n: int, k: int) -> Coloring:
     if n == 1:
         return Coloring(1, ())
     target = canonicalize(balanced_sizes(n, k), n)
-    try:
-        groups = _balanced_groups(n, k)
-        if not _validate_label_groups(n, groups) or sorted(
-            (sum(g) for g in groups), reverse=True
-        ) != list(target.sizes):
-            raise InternalScheduleError(f"balanced schedule invalid for n={n}, k={k}")
-        c = special_coloring(star_partition(n, groups))
-    except InternalScheduleError:
-        c = _fallback_star(target, f"balanced n={n} k={k}")
+    c = special_coloring(star_partition(n, _balanced_groups(n, k)))
     return _checked(c, target, special=True)
 
 
@@ -423,6 +387,20 @@ def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[in
     return base, tuple(log)
 
 
+def _relabel(counts: Sequence[int], targets: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
+    """Match colors 1..len(counts) to target ids of equal class size.
+
+    ``counts[c-1]`` is the size of color c, and each target is a (size, id)
+    pair.  Both sides are ranked by (-size, id) and matched in rank order.
+    Returns {color: id}, or None when the two size lists differ.
+    """
+    ranked = sorted(range(1, len(counts) + 1), key=lambda col: (-counts[col - 1], col))
+    want = sorted(targets, key=lambda t: (-t[0], t[1]))
+    if [counts[col - 1] for col in ranked] != [size for size, _ in want]:
+        return None
+    return {col: tid for col, (_, tid) in zip(ranked, want)}
+
+
 def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring:
     """Inverse of peel_reduction: re-attach the logged stars onto ``base``."""
     if base.n + len(log) != d.n:
@@ -430,12 +408,10 @@ def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring
     slots = list(d.sizes)
     for step, slot in enumerate(log):
         slots[slot] -= (d.n - step) - 1
-    survivors = [i for i, s in enumerate(slots) if s > 0]
-    by_size = sorted(survivors, key=lambda i: (-slots[i], i))
-    base_colors = sorted(range(1, base.k + 1), key=lambda col: (-base.counts[col - 1], col))
-    if [slots[i] for i in by_size] != [base.counts[col - 1] for col in base_colors]:
+    cmap = _relabel(base.counts, [(s, i) for i, s in enumerate(slots) if s > 0])
+    if cmap is None:
         raise PreconditionViolated("base coloring does not match the peeled distribution")
-    slot_color = dict(zip(by_size, base_colors))
+    slot_color = {slot: col for col, slot in cmap.items()}
     k = base.k
     colors = []
     for slot in reversed(log):
@@ -611,20 +587,15 @@ def _realize_on_cliques(
             arr = [comp_color] * total_edges(n_verts)
             off = 0
             for j, a in enumerate(cliques):
-                # Map witness colors (by descending count) onto our colors.
-                sub_counts: dict[int, int] = {}
-                for col in witnesses[j]:
-                    sub_counts[col] = sub_counts.get(col, 0) + 1
-                ranked = sorted(sub_counts, key=lambda col: (-sub_counts[col], col))
-                want = sorted(
-                    (i for i in range(len(sizes)) if matrix[i][j] > 0),
-                    key=lambda i: (-matrix[i][j], i),
+                w = witnesses[j]
+                cmap = _relabel(
+                    [w.count(col) for col in range(1, max(w) + 1)],
+                    [(matrix[i][j], i) for i in range(len(sizes)) if matrix[i][j] > 0],
                 )
-                cmap = {sub_col: colors[i] for sub_col, i in zip(ranked, want)}
                 pos = 0
                 for v in range(1, a):
                     for u in range(v):
-                        arr[edge_index(off + u, off + v)] = cmap[witnesses[j][pos]]
+                        arr[edge_index(off + u, off + v)] = colors[cmap[w[pos]]]
                         pos += 1
                 off += a
             return Coloring(n_verts, arr)
@@ -802,11 +773,9 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     rest = [(s, col) for s, col in rest if s > 0]
     sub = canonicalize([s for s, _ in rest], n_rest)
     csub = _construct_guaranteed(sub)
-    ranked = sorted(range(1, csub.k + 1), key=lambda col: (-csub.counts[col - 1], col))
-    want = sorted(rest, key=lambda sc: (-sc[0], sc[1]))
-    if [csub.counts[col - 1] for col in ranked] != [s for s, _ in want]:
+    cmap = _relabel(csub.counts, rest)
+    if cmap is None:
         raise InternalScheduleError("recursive level does not match the residual sizes")
-    cmap = {sub_col: col for sub_col, (_, col) in zip(ranked, want)}
     # K_{n_rest} on vertices 0..n_rest-1 is exactly the colex prefix.
     arr[: total_edges(n_rest)] = [cmap[col] for col in csub.colex_colors()]
     return Coloring(n, arr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +51,6 @@ class InvariantViolation(ParseError):
     color) and at construction boundaries of core values.
     """
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        super().__init__(message, line)
-
 
 class NotGallai(GallaiError):
     """A coloring expected to be rainbow-triangle-free is not."""
@@ -84,7 +81,7 @@ class PeelImpossible(GallaiError):
 
 
 class InternalScheduleError(GallaiError):
-    """A constructive schedule failed validation and no fallback applied.
+    """A constructive schedule or a search witness failed validation.
 
     Never returned silently: constructors validate their output and raise
     this instead of handing back a wrong coloring.
@@ -306,14 +303,6 @@ class GallaiPartition:
     def m(self) -> int:
         return len(self.blocks)
 
-    def reduced_color(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        for a, b, c in self.reduced:
-            if a == i and b == j:
-                return c
-        raise KeyError((i, j))
-
 
 # ---------------------------------------------------------------------------
 # Parameter records for the constructive procedures
@@ -340,61 +329,11 @@ class DivisionParams:
                 f"k*p + q = {self.k * self.p + self.q} != {total_edges(self.n)}"
             )
 
-    @property
-    def n_reduced(self) -> int:
-        """Vertex count after removing the k top star pairs."""
-        return self.n - 2 * self.k
-
-    @property
-    def p_reduced(self) -> int:
-        """Class size left after removing one top star pair from a class."""
-        return self.p - 2 * self.n + 2 * self.k + 1
-
-    @property
-    def delta(self) -> int:
-        """Slack n - 4k used in the endgame split."""
-        return self.n - 4 * self.k
-
     def target(self) -> Distribution:
         sizes = [self.p] * self.k
         if self.q:
             sizes.append(self.q)
         return canonicalize(sizes, self.n)
-
-
-@dataclass(frozen=True, slots=True)
-class BalancedParams:
-    """Derived quantities of a balanced instance with n = 2k + i."""
-
-    n: int
-    k: int
-    r: int = 1  # grouping factor applied before reaching this instance
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise PreconditionViolated("k must be >= 1")
-        if self.n < 2 * self.k:
-            raise PreconditionViolated("BalancedParams requires n >= 2k")
-
-    @property
-    def i(self) -> int:
-        return self.n - 2 * self.k
-
-    @property
-    def ell(self) -> int:
-        return total_edges(self.i) // self.k
-
-    @property
-    def m(self) -> int:
-        return total_edges(self.i) % self.k
-
-    @property
-    def z(self) -> int:
-        return 2 * self.k + 2 * self.i + self.ell - 1
-
-    @property
-    def z_prime(self) -> int:
-        return self.z + 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +393,62 @@ def serialize(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _coloring_from_entries(
+    n: int,
+    k: int,
+    entries: list,
+    parse: Callable[[object, Optional[int]], tuple[int, int, int]],
+    first_line: Optional[int] = None,
+) -> Coloring:
+    """Validate the edge entries of either format and build the coloring.
+
+    The entry count is compared with the edge count of K_n before anything
+    is allocated, so a header that claims a huge n costs nothing.  ``parse``
+    turns one entry into (u, v, color); the pairs must run through the
+    edges in lexicographic order and the colors lie in 1..k.  When
+    ``first_line`` is given, errors carry the line number of their entry.
+    """
+    expected = total_edges(n)
+    if len(entries) != expected:
+        end = None if first_line is None else first_line + len(entries) - 1
+        raise InvariantViolation(f"expected {expected} edge entries, got {len(entries)}", end)
+    arr = [0] * expected
+    eu, ev = 0, 1
+    for i, entry in enumerate(entries):
+        ln = None if first_line is None else first_line + i
+        u, v, col = parse(entry, ln)
+        if (u, v) != (eu, ev):
+            raise InvariantViolation(f"edge ({u}, {v}) out of order; expected ({eu}, {ev})", ln)
+        if not (1 <= col <= k):
+            raise InvariantViolation(f"color {col} out of range 1..{k}", ln)
+        arr[ev * (ev - 1) // 2 + eu] = col
+        ev += 1
+        if ev == n:
+            eu += 1
+            ev = eu + 1
+    return Coloring(n, arr, k=k)
+
+
+def _parse_edge_line(raw: str, ln: Optional[int]) -> tuple[int, int, int]:
+    parts = raw.split()
+    if len(parts) != 3:
+        raise ParseError(f"expected 'u v c', got {raw!r}", ln)
+    try:
+        return int(parts[0]), int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(f"non-numeric edge line {raw!r}", ln) from None
+
+
+def _parse_edge_item(item: object, ln: Optional[int]) -> tuple[int, int, int]:
+    if not (
+        isinstance(item, list)
+        and len(item) == 3
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+    ):
+        raise ParseError(f"bad edge entry {item!r}", ln)
+    return item[0], item[1], item[2]
+
+
 def deserialize(text: str) -> Coloring:
     """Parse the text format, enforcing totality and canonical edge order."""
     lines = text.split("\n")
@@ -470,34 +465,7 @@ def deserialize(text: str) -> Coloring:
         raise ParseError(f"non-numeric header {lines[0]!r}", 1) from None
     if n < 1:
         raise InvariantViolation(f"vertex count must be >= 1, got {n}", 1)
-    expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if len(lines) - 1 != len(expected):
-        raise InvariantViolation(
-            f"expected {len(expected)} edge lines, got {len(lines) - 1}",
-            len(lines),
-        )
-    arr = [0] * total_edges(n)
-    for ln, ((eu, ev), raw) in enumerate(zip(expected, lines[1:]), start=2):
-        parts = raw.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'u v c', got {raw!r}", ln)
-        try:
-            u, v, col = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-numeric edge line {raw!r}", ln) from None
-        if (u, v) != (eu, ev):
-            raise InvariantViolation(
-                f"edge ({u}, {v}) out of order; expected ({eu}, {ev})", ln
-            )
-        if not (1 <= col <= k):
-            raise InvariantViolation(f"color {col} out of range 1..{k}", ln)
-        arr[edge_index(u, v)] = col
-    try:
-        return Coloring(n, arr, k=k)
-    except InvariantViolation:
-        raise
-    except GallaiError as exc:  # pragma: no cover - defensive
-        raise InvariantViolation(str(exc)) from exc
+    return _coloring_from_entries(n, k, lines[1:], _parse_edge_line, first_line=2)
 
 
 def serialize_json(c: Coloring) -> str:
@@ -515,30 +483,16 @@ def deserialize_json(text: str) -> Coloring:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
     for key in ("n", "k", "edges"):
         if key not in payload:
             raise ParseError(f"missing key {key!r}")
-    n, k = payload["n"], payload["k"]
+    n, k, edges = payload["n"], payload["k"], payload["edges"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvariantViolation(f"bad vertex count {n!r}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvariantViolation(f"bad color count {k!r}")
-    expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = payload["edges"]
-    if not isinstance(edges, list) or len(edges) != len(expected):
-        raise InvariantViolation(f"expected {len(expected)} edge entries")
-    arr = [0] * total_edges(n)
-    for (eu, ev), item in zip(expected, edges):
-        if not (
-            isinstance(item, list)
-            and len(item) == 3
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise ParseError(f"bad edge entry {item!r}")
-        u, v, col = item
-        if (u, v) != (eu, ev):
-            raise InvariantViolation(f"edge ({u}, {v}) out of order; expected ({eu}, {ev})")
-        if not (1 <= col <= k):
-            raise InvariantViolation(f"color {col} out of range 1..{k}")
-        arr[edge_index(u, v)] = col
-    return Coloring(n, arr, k=k)
+    if not isinstance(edges, list):
+        raise InvariantViolation(f"expected {total_edges(n)} edge entries")
+    return _coloring_from_entries(n, k, edges, _parse_edge_item)

@@ -8,6 +8,7 @@ cross colors.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -214,15 +215,21 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
     Tries every candidate color pair {a, b} (singletons included): the
     blocks are the components of the graph of edges colored neither a nor
     b, accepted when there are at least two of them and every block pair is
-    monochromatic.  For rainbow-free input some pair always succeeds; a
-    merge-refinement fallback is kept as hardening.  Raises NotFound when
-    the input has a rainbow triangle.
+    monochromatic.  Raises NotFound when the input has a rainbow triangle.
+
+    For rainbow-free input some pair always succeeds.  Take a component C
+    of the non-{a, b} graph and a vertex z outside it.  If z met C in two
+    colors, then along a non-{a, b} path inside C some edge uv would have
+    zu != zv, and the triangle z, u, v would be rainbow.  So every pair of
+    components is joined in one color from {a, b}.  Gallai's theorem
+    (T. Gallai 1967; Gyarfas-Simonyi, J. Graph Theory 46, 2004) gives a
+    pair {a, b} whose cross edges carry every edge between the parts of a
+    partition into at least two parts, so that pair leaves at least two
+    components.
     """
     if c.n < 2:
         raise PreconditionViolated("need n >= 2 for a block decomposition")
-    colors = list(range(1, c.k + 1))
-    candidates = [(a, b) for ai, a in enumerate(colors) for b in colors[ai:]]
-    for a, b in candidates:
+    for a, b in combinations_with_replacement(range(1, c.k + 1), 2):
         blocks = _blocks_for_pair(c, a, b)
         if len(blocks) < 2:
             continue
@@ -232,52 +239,12 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
         gp = _partition_from(blocks, reduced)
         if validate_gallai_partition(c, gp):
             return gp
-    # Hardening: merge blocks that violate monochromaticity and retry.
-    for a, b in candidates:
-        blocks = _blocks_for_pair(c, a, b)
-        merged = _merge_refine(c, blocks)
-        if len(merged) < 2:
-            continue
-        reduced = _pair_colors(c, merged)
-        if reduced is None or len(set(reduced.values())) > 2:
-            continue
-        gp = _partition_from(merged, reduced)
-        if validate_gallai_partition(c, gp):
-            return gp
     w = rainbow_witness(c)
     if w is not None:
         raise NotFound(f"no decomposition: input has rainbow triangle {w}")
     raise InternalScheduleError(
         "no valid block decomposition found for a rainbow-free coloring"
     )
-
-
-def _merge_refine(c: Coloring, blocks: list[list[int]]) -> list[list[int]]:
-    blocks = [list(blk) for blk in blocks]
-    while len(blocks) >= 2:
-        owner = {}
-        for bi, blk in enumerate(blocks):
-            for v in blk:
-                owner[v] = bi
-        seen: dict[tuple[int, int], int] = {}
-        conflict = None
-        for u, v, col in c.edges():
-            bu, bv = owner[u], owner[v]
-            if bu == bv:
-                continue
-            key = (bu, bv) if bu < bv else (bv, bu)
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = col
-            elif prev != col:
-                conflict = key
-                break
-        if conflict is None:
-            return sorted(blocks, key=lambda blk: blk[0])
-        i, j = conflict
-        blocks[i] = sorted(blocks[i] + blocks[j])
-        del blocks[j]
-    return blocks
 
 
 def validate_gallai_partition(c: Coloring, gp: GallaiPartition) -> bool:

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gallai import construct
 from gallai.core import (
     Coloring,
     DivisionParams,
+    InternalScheduleError,
+    InvariantViolation,
     PeelImpossible,
     PreconditionViolated,
     TooManyColors,
@@ -132,6 +135,16 @@ class TestDivision:
         c = construct_division(DivisionParams(n=1, k=0, p=0, q=0))
         assert c.n == 1 and c.k == 0
 
+    def test_broken_schedule_raises(self, monkeypatch):
+        # There is no star-search fallback: a wrong schedule fails loudly.
+        params = DivisionParams(n=5, k=2, p=4, q=2)
+        monkeypatch.setattr(construct, "_division_groups", lambda *a: ([[4], [3]], [2, 1]))
+        with pytest.raises(InternalScheduleError):
+            construct_division(params)
+        monkeypatch.setattr(construct, "_division_groups", lambda *a: ([[4], [3, 1]], [1]))
+        with pytest.raises(InvariantViolation):
+            construct_division(params)
+
 
 class TestBalanced:
     def test_k6_three_colors(self):
@@ -153,6 +166,14 @@ class TestBalanced:
             sizes = class_sizes(c).sizes
             assert len(sizes) == k and max(sizes) - min(sizes) <= 1
             assert is_gallai(c)
+
+    def test_broken_schedule_raises(self, monkeypatch):
+        monkeypatch.setattr(construct, "_balanced_groups", lambda n, k: [[5, 1], [4], [3, 2]])
+        with pytest.raises(InternalScheduleError):
+            construct_balanced(6, 3)
+        monkeypatch.setattr(construct, "_balanced_groups", lambda n, k: [[5], [4, 1], [3]])
+        with pytest.raises(InvariantViolation):
+            construct_balanced(6, 3)
 
     def test_grid(self):
         for n in range(2, 31):

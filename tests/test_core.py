@@ -119,10 +119,6 @@ class TestStarPartition:
 
 
 class TestParams:
-    def test_division_params_derived(self):
-        p = DivisionParams(n=14, k=3, p=25, q=16)
-        assert p.n_reduced == 8 and p.p_reduced == 25 - 28 + 6 + 1 and p.delta == 2
-
     def test_division_params_validation(self):
         with pytest.raises(PreconditionViolated):
             DivisionParams(n=5, k=2, p=3, q=4)  # p < n-1
@@ -186,8 +182,30 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize("banana\n")
 
+    def test_huge_header_without_edges_fails_at_once(self):
+        # The entry count is checked against n(n-1)/2 before anything is
+        # allocated; building the edge list first would ask for ~5*10^9 slots.
+        with pytest.raises(InvariantViolation) as exc:
+            deserialize("100000 1\n")
+        assert exc.value.line == 1
+        with pytest.raises(InvariantViolation):
+            deserialize_json('{"n": 100000, "k": 1, "edges": []}')
+
+    def test_json_that_is_not_an_object(self):
+        for text in ("5", "null", '"n k edges"', "[1]"):
+            with pytest.raises(ParseError):
+                deserialize_json(text)
+
     def test_json_structure(self):
         c = Coloring(3, (1, 1, 2))
         payload = json.loads(serialize_json(c))
         assert payload["n"] == 3 and payload["k"] == 2
         assert payload["edges"][0] == [0, 1, 1]
+
+
+def test_public_names_resolve_once():
+    import gallai
+
+    assert len(gallai.__all__) == len(set(gallai.__all__))
+    missing = [name for name in gallai.__all__ if not hasattr(gallai, name)]
+    assert missing == []

@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gallai.core import Coloring, NotGallai, PreconditionViolated, canonicalize, total_edges
+from gallai.core import Coloring, NotFound, NotGallai, PreconditionViolated, canonicalize, total_edges
 from gallai.construct import extend_by_star, special_coloring, _lex_fill
 from gallai.core import star_partition
 from gallai.generator import random_gallai
@@ -17,7 +19,7 @@ from gallai.verify import (
     validate_gallai_partition,
 )
 
-from conftest import arbitrary_colorings, naive_rainbow
+from conftest import arbitrary_colorings, compact_colors, naive_rainbow
 
 
 def special(n, groups):
@@ -196,14 +198,30 @@ class TestGallaiPartition:
         assert gp.cross_colors <= {1, 2}
 
     def test_rainbow_input_has_no_partition(self):
-        from gallai.core import NotFound
-
         with pytest.raises(NotFound):
             find_gallai_partition(Coloring(3, (1, 2, 3)))
 
     def test_requires_two_vertices(self):
         with pytest.raises(PreconditionViolated):
             find_gallai_partition(Coloring(1, ()))
+
+    def test_every_coloring_of_k4(self):
+        # All 4^6 color arrays on the six edges of K_4, compacted to 1..k.
+        # Rainbow-free input always decomposes (see the docstring's proof);
+        # rainbow input may decompose or raise NotFound, never anything else.
+        rainbow_free = 0
+        for raw in product(range(1, 5), repeat=6):
+            c = Coloring(4, compact_colors(list(raw)))
+            if naive_rainbow(c) is None:
+                rainbow_free += 1
+                assert validate_gallai_partition(c, find_gallai_partition(c))
+                continue
+            try:
+                gp = find_gallai_partition(c)
+            except NotFound:
+                continue
+            assert validate_gallai_partition(c, gp)
+        assert 0 < rainbow_free < 4**6
 
     def test_validator_rejects_wrong_partition(self):
         from gallai.core import GallaiPartition
