@@ -8,12 +8,12 @@ that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
 label partition, ``InternalScheduleError`` for wrong class sizes).
 
 Every public builder post-checks what it returns with ``_checked`` exactly
-once per call: rainbow-freeness, the class sizes and, where promised,
-speciality.  Builders that recurse (the K_5/K_8 bases under peel/replay, the
-8k^2+1 construction) call each other through the unchecked private
-``_k3_base``, ``_k4_base`` and ``_gk_general``, so one public call pays for
-one certification, and a wrong schedule still cannot leak out as a wrong
-coloring.
+once per call: the class sizes and either speciality, where promised, or
+rainbow-freeness.  Builders that recurse (the K_5/K_8 bases under
+peel/replay, the 8k^2+1 construction) call each other through the
+unchecked private ``_k3_base``, ``_k4_base`` and ``_gk_general``, so one
+public call pays for one certification, and a wrong schedule still cannot
+leak out as a wrong coloring.
 """
 
 from __future__ import annotations
@@ -53,17 +53,22 @@ def _checked(c: Coloring, want: Distribution, *, special: bool = False) -> Color
 
     Runs once per public call, on the coloring that call returns; the
     recursion below a public builder is not re-certified level by level.
-    ``rainbow_witness`` skips the one-color star rows on top, so a special
-    coloring costs O(E) here.
+    A coloring promised special is certified by ``is_special_coloring``
+    alone, without ``rainbow_witness``: by the star argument, every vertex
+    of a special coloring sends its down-edges in one color, so the top
+    vertex of any triangle sees two of its edges in one color and no
+    triangle is rainbow.
     """
-    w = verify.rainbow_witness(c)
-    if w is not None:
-        raise InternalScheduleError(f"construction produced rainbow triangle {w}")
+    if special:
+        if not verify.is_special_coloring(c):
+            raise InternalScheduleError("construction expected to be special is not")
+    else:
+        w = verify.rainbow_witness(c)
+        if w is not None:
+            raise InternalScheduleError(f"construction produced rainbow triangle {w}")
     got = verify.class_sizes(c)
     if got != want:
         raise InternalScheduleError(f"constructed sizes {got.sizes}, wanted {want.sizes}")
-    if special and not verify.is_special_coloring(c):
-        raise InternalScheduleError("construction expected to be special is not")
     return c
 
 

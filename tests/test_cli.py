@@ -51,6 +51,11 @@ class TestConstructDivBalanced:
         code, _, stderr = run(capsys, "construct-div", "--n", "5", "--k", "2", "--p", "3", "--q", "4")
         assert code == 2
 
+    def test_division_single_vertex_with_empty_classes(self, capsys):
+        code, stdout, stderr = run(capsys, "construct-div", "--n", "1", "--k", "2", "--p", "0", "--q", "0")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: need p >= 1 when k >= 1, got p=0, k=2\n"
+
     def test_balanced(self, tmp_path, capsys):
         out = tmp_path / "b.coloring"
         code, _, _ = run(capsys, "construct-balanced", "--n", "9", "--k", "4", "--out", str(out))

@@ -135,6 +135,14 @@ class TestDivision:
         c = construct_division(DivisionParams(n=1, k=0, p=0, q=0))
         assert c.n == 1 and c.k == 0
 
+    def test_special_certificate_refuses_non_special_colorings(self):
+        # _checked(special=True) skips rainbow_witness; speciality alone must
+        # still refuse a rainbow-free non-special and a rainbow coloring.
+        for colors in ((1, 1, 2), (1, 2, 3)):
+            c = Coloring(3, colors)
+            with pytest.raises(InternalScheduleError, match="special"):
+                construct._checked(c, class_sizes(c), special=True)
+
     def test_broken_schedule_raises(self, monkeypatch):
         # There is no star-search fallback: a wrong schedule fails loudly.
         params = DivisionParams(n=5, k=2, p=4, q=2)

@@ -1,12 +1,14 @@
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gallai.core import (
     Coloring,
     Distribution,
     DivisionParams,
+    GallaiError,
     InvariantViolation,
     NonPositiveEntry,
     ParseError,
@@ -24,8 +26,11 @@ from gallai.core import (
     star_partition,
     total_edges,
 )
+from gallai.core import _lex_edges, _read_canonical, _read_lines, _text_bytes
+from gallai.generator import random_gallai
 
-from conftest import arbitrary_colorings, label_partitions
+from conftest import arbitrary_colorings, compact_colors, label_partitions
+from test_fuzz import _mutate
 
 
 class TestCanonicalize:
@@ -124,6 +129,8 @@ class TestParams:
             DivisionParams(n=5, k=2, p=3, q=4)  # p < n-1
         with pytest.raises(PreconditionViolated):
             DivisionParams(n=5, k=2, p=4, q=1)  # sum mismatch
+        with pytest.raises(PreconditionViolated, match="p >= 1 when k >= 1"):
+            DivisionParams(n=1, k=2, p=0, q=0)  # k empty classes on K_1
 
     def test_verdict_validation(self):
         with pytest.raises(InvariantViolation):
@@ -201,6 +208,90 @@ class TestSerialization:
         payload = json.loads(serialize_json(c))
         assert payload["n"] == 3 and payload["k"] == 2
         assert payload["edges"][0] == [0, 1, 1]
+
+
+def _fstring_serialize(c: Coloring) -> str:
+    """The text writer before vectorization: one f-string per edge."""
+    arr = c.colex_colors()
+    lines = [f"{c.n} {c.k}"]
+    lines.extend(
+        f"{u} {v} {arr[v * (v - 1) // 2 + u]}" for u in range(c.n) for v in range(u + 1, c.n)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, text: str):
+    """What a reader makes of ``text``: the coloring, or the error it raises."""
+    try:
+        return read(text)
+    except GallaiError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# Spellings the line-by-line reader accepts that serialize never writes.
+NON_CANONICAL = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "repeated spaces": lambda t: t.replace(" ", "   "),
+    "leading zeros": lambda t: re.sub(r"\b(\d)", r"0\1", t),
+    "plus signs": lambda t: re.sub(r"\b(\d)", r"+\1", t),
+    "no final LF": lambda t: t[:-1],
+    "padded lines": lambda t: t.replace("\n", " \n"),
+}
+
+
+class TestVectorizedText:
+    """``deserialize`` against ``_read_lines``, and ``serialize`` against the
+    per-edge writer, which stay the references for the vectorized paths."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 300])
+    def test_writer_is_byte_identical(self, n):
+        for seed, max_colors in ((0, 5), (1, 12)):
+            c = random_gallai(n, seed, max_colors)[0]
+            assert serialize(c) == _fstring_serialize(c)
+            # The vectorized writer at every size, not only where serialize uses it.
+            assert _text_bytes(n, c.k, *_lex_edges(c)).decode("ascii") == serialize(c)
+            edges = [[u, v, c.edge_color(u, v)] for u in range(n) for v in range(u + 1, n)]
+            assert serialize_json(c) == json.dumps(
+                {"n": n, "k": c.k, "edges": edges}, separators=(",", ":")
+            )
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_text_matches_line_reader(self, n, max_colors, rnd):
+        raw = [rnd.randint(1, max_colors) for _ in range(total_edges(n))]
+        c = Coloring(n, compact_colors(raw))
+        text = serialize(c)
+        assert _read_canonical(text) == c
+        mutated = _mutate(text, rnd)
+        assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
+
+    @pytest.mark.parametrize("spelling", sorted(NON_CANONICAL))
+    def test_non_canonical_spellings_take_the_line_reader(self, spelling):
+        for n, seed in ((1, 0), (2, 0), (12, 3)):
+            c = random_gallai(n, seed, 12)[0]
+            text = NON_CANONICAL[spelling](serialize(c))
+            if text == serialize(c):
+                continue
+            assert _read_canonical(text) is None
+            assert deserialize(text) == c == _read_lines(text)
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 1 1\n0 2 1\n1 2 2\n",  # declared k above the colors in use
+        "3 3\n0 1 1\n0 2 3\n1 2 3\n",  # phantom color
+        "3 2\n0 1 1\n0 2 3\n1 2 2\n",  # color out of range
+        "3 1\n0 1 1\n0 2 1\n1 3 1\n",  # wrong vertex
+        "1 0\n",
+        "1 -1\n",
+        "0 0\n",
+        "3 0\n0 1 0\n0 2 0\n1 2 0\n",
+        "2 1\n0 1 1\n\n",
+        "2 10\n0 1 10\n",
+        "\n",
+        "",
+    ])
+    def test_edge_cases_match_line_reader(self, text):
+        assert _outcome(deserialize, text) == _outcome(_read_lines, text)
 
 
 def test_public_names_resolve_once():
