@@ -15,6 +15,7 @@ from .core import (
     Coloring,
     GallaiError,
     DivisionParams,
+    ParseError,
     PreconditionViolated,
     canonicalize,
     deserialize,
@@ -45,7 +46,11 @@ def _emit_coloring(c: Coloring, out: Optional[str]) -> None:
 
 def _load_coloring(path: str) -> Coloring:
     with open(path) as fh:
-        return deserialize(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a text file ({exc})") from None
+    return deserialize(text)
 
 
 def _cmd_construct(args) -> int:

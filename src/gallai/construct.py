@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     BudgetExceeded,
     Coloring,
@@ -33,9 +35,9 @@ from .core import (
     TooManyColors,
     balanced_sizes,
     canonicalize,
-    edge_index,
     star_partition,
     total_edges,
+    _lex_order,
 )
 from . import verify
 
@@ -82,14 +84,12 @@ def special_coloring(sp: StarPartition) -> Coloring:
     Always rainbow-free: in any triangle the two edges at the largest vertex
     share a star, hence a color.  Class sizes are the group label sums.
     """
-    label_color = {}
+    label_color = [0] * sp.n
     for gi, group in enumerate(sp.groups, start=1):
         for label in group:
             label_color[label] = gi
-    arr: list[int] = []
-    for v in range(1, sp.n):
-        arr.extend([label_color[v]] * v)
-    return Coloring(sp.n, arr)
+    stars = np.array(label_color[1:], dtype=np.int32)
+    return Coloring(sp.n, np.repeat(stars, np.arange(1, sp.n)))
 
 
 def star_partition_for(
@@ -362,10 +362,8 @@ def _join_stars(c: Coloring, colors: Sequence[int]) -> Coloring:
     The new rows go to the end of the colex array, so the result is built
     as a single Coloring however many vertices are added.
     """
-    arr = list(c.colex_colors())
-    for v, col in enumerate(colors, start=c.n):
-        arr += [col] * v
-    return Coloring(c.n + len(colors), arr)
+    stars = np.repeat(np.asarray(colors, dtype=np.int32), np.arange(c.n, c.n + len(colors)))
+    return Coloring(c.n + len(colors), np.concatenate([c.colex_colors(), stars]))
 
 
 def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[int, ...]]:
@@ -456,57 +454,32 @@ def construct_k3_base(d: Distribution) -> Coloring:
 def _k3_base(d: Distribution) -> Coloring:
     key = d.sizes
     if key in _K3_TABLE:
-        c = special_coloring(star_partition(5, _K3_TABLE[key]))
-    elif key == (8, 1, 1):
-        edges = []
-        for u in range(5):
-            for v in range(u + 1, 5):
-                if (u, v) == (0, 1):
-                    edges.append((u, v, 2))
-                elif (u, v) == (2, 3):
-                    edges.append((u, v, 3))
-                else:
-                    edges.append((u, v, 1))
-        c = Coloring.from_edges(5, edges)
-    elif key == (6, 2, 2):
-        # Complete bipartite {0,1} x {2,3,4} in color 1.
-        edges = []
-        for u in range(5):
-            for v in range(u + 1, 5):
-                if u < 2 <= v:
-                    edges.append((u, v, 1))
-                elif (u, v) in ((0, 1), (2, 3)):
-                    edges.append((u, v, 2))
-                else:
-                    edges.append((u, v, 3))
-        c = Coloring.from_edges(5, edges)
-    else:  # pragma: no cover - the eight cases above are exhaustive
-        raise InternalScheduleError(f"unexpected distribution {d}")
-    return c
+        return special_coloring(star_partition(5, _K3_TABLE[key]))
+    # Colex edge order of K_5: 01 02 12 03 13 23 04 14 24 34.
+    if key == (8, 1, 1):
+        # Color 1 except the disjoint edges 01 and 23.
+        return Coloring(5, (2, 1, 1, 1, 1, 3, 1, 1, 1, 1))
+    if key == (6, 2, 2):
+        # Complete bipartite {0,1} x {2,3,4} in color 1, 01 and 23 in color 2.
+        return Coloring(5, (2, 1, 1, 1, 1, 2, 1, 1, 3, 3))
+    # The eight cases above are exhaustive.
+    raise InternalScheduleError(f"unexpected distribution {d}")  # pragma: no cover
 
 
 def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
     """Fill edges in lexicographic order; safe only for at most two colors."""
     if len(sizes) > 2:
         raise PreconditionViolated("lexicographic fill is only rainbow-free for k <= 2")
-    arr = [0] * total_edges(n)
-    queue = [(color, size) for color, size in enumerate(sizes, start=1)]
-    qi = 0
-    left = queue[0][1] if queue else 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            while left == 0:
-                qi += 1
-                left = queue[qi][1]
-            arr[edge_index(u, v)] = queue[qi][0]
-            left -= 1
+    _, _, at = _lex_order(n)  # the colex index of each edge, in lex order
+    arr = np.empty(len(at), dtype=np.int32)
+    arr[at] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return Coloring(n, arr)
 
 
-_SMALL_MEMO: dict[tuple[int, tuple[int, ...]], Optional[tuple[int, ...]]] = {}
+_SMALL_MEMO: dict[tuple[int, tuple[int, ...]], Optional[np.ndarray]] = {}
 
 
-def _small_gallai(n: int, sizes: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def _small_gallai(n: int, sizes: tuple[int, ...]) -> Optional[np.ndarray]:
     """Colex color array of some rainbow-free coloring of K_n, or None."""
     key = (n, sizes)
     if key not in _SMALL_MEMO:
@@ -589,19 +562,18 @@ def _realize_on_cliques(
                 witnesses.append(got)
             if witnesses is None:
                 continue
-            arr = [comp_color] * total_edges(n_verts)
+            arr = np.full(total_edges(n_verts), comp_color, dtype=np.int32)
             off = 0
             for j, a in enumerate(cliques):
                 w = witnesses[j]
                 cmap = _relabel(
-                    [w.count(col) for col in range(1, max(w) + 1)],
+                    np.bincount(w)[1:].tolist(),
                     [(matrix[i][j], i) for i in range(len(sizes)) if matrix[i][j] > 0],
                 )
-                pos = 0
-                for v in range(1, a):
-                    for u in range(v):
-                        arr[edge_index(off + u, off + v)] = colors[cmap[w[pos]]]
-                        pos += 1
+                table = np.array([0] + [colors[cmap[col]] for col in range(1, len(cmap) + 1)])
+                # The clique's colex order is its strict lower triangle, row by row.
+                v, u = np.tril_indices(a, -1)
+                arr[(v + off) * (v + off - 1) // 2 + u + off] = table[w]
                 off += a
             return Coloring(n_verts, arr)
     return None
@@ -740,14 +712,14 @@ def _gk_general(d: Distribution, stats: Optional[dict]) -> Coloring:
 def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     k, n = d.k, d.n
     sizes = list(d.sizes)  # color i  <->  sizes[i-1]
-    arr = [0] * total_edges(n)
+    arr = np.zeros(total_edges(n), dtype=np.int32)
     m = n
     e_small = sizes[k - 1]
     stars = 0
     while e_small >= m - 1:
         v = m - 1
         base = v * (v - 1) // 2
-        arr[base : base + v] = [k] * v
+        arr[base : base + v] = k
         e_small -= m - 1
         m -= 1
         stars += 1
@@ -762,7 +734,8 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     for j in range(block - 1, -1, -1):
         take = min(rem, j)
         base = (start + j) * (start + j - 1) // 2
-        arr[base : base + start + j] = [1] * start + [k] * take + [1] * (j - take)
+        arr[base : base + start + j] = 1
+        arr[base + start : base + start + take] = k
         rem -= take
     if rem:
         raise InternalScheduleError(f"block capacity exceeded: n={n}, k={k}")
@@ -782,7 +755,8 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     if cmap is None:
         raise InternalScheduleError("recursive level does not match the residual sizes")
     # K_{n_rest} on vertices 0..n_rest-1 is exactly the colex prefix.
-    arr[: total_edges(n_rest)] = [cmap[col] for col in csub.colex_colors()]
+    table = np.array([0] + [cmap[col] for col in range(1, csub.k + 1)])
+    arr[: total_edges(n_rest)] = table[csub.colex_colors()]
     return Coloring(n, arr)
 
 
@@ -844,11 +818,10 @@ def merge_classes(c: Coloring, grouping: Iterable[Iterable[int]]) -> Coloring:
             seen.add(col)
     if len(seen) != c.k:
         raise PreconditionViolated(f"grouping must cover colors 1..{c.k} exactly once")
-    cmap = {}
+    table = np.zeros(c.k + 1, dtype=np.int32)
     for new, p in enumerate(parts, start=1):
-        for col in p:
-            cmap[col] = new
-    return Coloring(c.n, tuple(cmap[col] for col in c.colex_colors()))
+        table[list(p)] = new
+    return Coloring(c.n, table[c.colex_colors()])
 
 
 def construct_any(d: Distribution) -> Coloring | NotConstructed:

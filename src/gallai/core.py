@@ -164,8 +164,11 @@ def canonicalize(sizes: Iterable[int], n: int) -> Distribution:
 class Coloring:
     """A complete assignment of a color id in 1..k to every edge of K_n.
 
-    Immutable after construction.  Every color id in 1..k occurs on at least
-    one edge (no phantom colors).
+    Immutable after construction: the colors are kept in a private,
+    read-only int32 array in colex edge order.  Every color id in 1..k
+    occurs on at least one edge (no phantom colors).  ``n``, ``k``,
+    ``counts`` and the colors that ``edge_color`` and ``edges`` return are
+    Python ints.
     """
 
     __slots__ = ("n", "k", "counts", "_colors")
@@ -173,26 +176,29 @@ class Coloring:
     def __init__(self, n: int, colors: Iterable[int], k: Optional[int] = None):
         if n < 1:
             raise InvariantViolation(f"vertex count must be >= 1, got {n}")
-        arr = tuple(colors)
-        if len(arr) != total_edges(n):
+        arr = colors if isinstance(colors, np.ndarray) else np.fromiter(colors, dtype=np.int64)
+        edges = total_edges(n)
+        if len(arr) != edges:
             raise InvariantViolation(
-                f"expected {total_edges(n)} edge colors for K_{n}, got {len(arr)}"
+                f"expected {edges} edge colors for K_{n}, got {len(arr)}"
             )
-        kk = max(arr, default=0)
+        kk = int(arr.max()) if edges else 0
         if k is not None and k != kk:
             raise InvariantViolation(f"declared k={k} but max color in use is {kk}")
-        counts = [0] * (kk + 1)
-        for c in arr:
-            if c < 1:
-                raise InvariantViolation(f"color ids must be >= 1, got {c}")
-            counts[c] += 1
-        for c in range(1, kk + 1):
-            if counts[c] == 0:
-                raise InvariantViolation(f"phantom color {c}: declared but unused")
+        if edges and arr.min() < 1:
+            first = int(arr[np.argmax(arr < 1)])
+            raise InvariantViolation(f"color ids must be >= 1, got {first}")
+        # Refused before bincount allocates kk + 1 counters.
+        if kk > edges:
+            raise InvariantViolation(f"{kk} colors need at least {kk} edges; K_{n} has {edges}")
+        counts = tuple(np.bincount(arr)[1:].tolist())
+        if 0 in counts:
+            raise InvariantViolation(f"phantom color {counts.index(0) + 1}: declared but unused")
         self.n = n
         self.k = kk
-        self.counts = tuple(counts[1:])
-        self._colors = arr
+        self.counts = counts
+        self._colors = arr.astype(np.int32)
+        self._colors.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "Coloring":
@@ -211,28 +217,31 @@ class Coloring:
         return cls(n, arr)
 
     def edge_color(self, u: int, v: int) -> int:
-        return self._colors[edge_index(u, v)]
+        return int(self._colors[edge_index(u, v)])
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) in lexicographic order of (u, v)."""
-        arr = self._colors
+        arr = self._colors.tolist()
         for u in range(self.n):
             for v in range(u + 1, self.n):
                 yield u, v, arr[v * (v - 1) // 2 + u]
 
-    def colex_colors(self) -> tuple[int, ...]:
-        """The raw triangular color array (colex edge order)."""
+    def colex_colors(self) -> np.ndarray:
+        """The triangular color array in colex edge order (int32, read-only)."""
         return self._colors
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Coloring)
             and self.n == other.n
-            and self._colors == other._colors
+            and self._colors.tobytes() == other._colors.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._colors))
+        return hash((self.n, self._colors.tobytes()))
+
+    def __reduce__(self):  # copies and pickles rebuild a read-only array
+        return Coloring, (self.n, self._colors)
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, k={self.k}, counts={self.counts})"
@@ -402,8 +411,7 @@ def _lex_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _lex_edges(c: Coloring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u, v and color of every edge, in lexicographic order of (u, v)."""
     u, v, at = _lex_order(c.n)
-    colors = np.fromiter(c.colex_colors(), dtype=np.int64, count=len(at))
-    return u, v, colors[at]
+    return u, v, c.colex_colors()[at]
 
 
 def _digit_table(count: int) -> np.ndarray:
@@ -462,16 +470,22 @@ def _coloring_from_entries(
 ) -> Coloring:
     """Validate the edge entries of either format and build the coloring.
 
-    The entry count is compared with the edge count of K_n before anything
-    is allocated, so a header that claims a huge n costs nothing.  ``parse``
-    turns one entry into (u, v, color); the pairs must run through the
-    edges in lexicographic order and the colors lie in 1..k.  When
-    ``first_line`` is given, errors carry the line number of their entry.
+    The entry count and k are compared with the edge count of K_n (k
+    colors cannot all occur on fewer edges) before anything is allocated,
+    so a header that claims a huge n or k costs nothing.  ``parse`` turns
+    one entry into (u, v, color); the pairs must run through the edges in
+    lexicographic order and the colors lie in 1..k.  When ``first_line`` is
+    given, errors carry the line number of their entry, or of the header.
     """
     expected = total_edges(n)
     if len(entries) != expected:
         end = None if first_line is None else first_line + len(entries) - 1
         raise InvariantViolation(f"expected {expected} edge entries, got {len(entries)}", end)
+    if k > expected:
+        head = None if first_line is None else first_line - 1
+        raise InvariantViolation(
+            f"{k} colors need at least {k} edges; K_{n} has {expected}", head
+        )
     arr = [0] * expected
     eu, ev = 0, 1
     for i, entry in enumerate(entries):
@@ -543,9 +557,9 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     u, v, at = _lex_order(n)
     if _text_bytes(n, k, u, v, colors) != raw:
         return None
-    colex = np.empty(edges, dtype=np.int64)
+    colex = np.empty(edges, dtype=np.int32)
     colex[at] = colors
-    return Coloring(n, colex.tolist(), k=k)
+    return Coloring(n, colex, k=k)
 
 
 def _read_lines(text: str) -> Coloring:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .core import Coloring, PreconditionViolated, total_edges
 
 
@@ -30,9 +32,8 @@ def random_gallai(
     rng = random.Random(seed)
     arr = [0] * total_edges(n)
     top_blocks = _fill(arr, list(range(n)), rng, max_colors)
-    used = sorted(set(arr))
-    remap = {old: new for new, old in enumerate(used, start=1)}
-    coloring = Coloring(n, tuple(remap[c] for c in arr))
+    _, compact = np.unique(arr, return_inverse=True)
+    coloring = Coloring(n, compact + 1)
     return coloring, tuple(tuple(b) for b in top_blocks)
 
 

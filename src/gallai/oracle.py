@@ -18,7 +18,6 @@ from .core import (
     BudgetExceeded,
     Coloring,
     Distribution,
-    InternalScheduleError,
     Verdict,
     canonicalize,
     total_edges,
@@ -222,20 +221,8 @@ def search_realizable(
         tag, colors, nodes = _backtrack(d.n, d.sizes, max_nodes, deadline)
     if tag == "feasible":
         assert colors is not None
-        return Verdict("feasible", _checked_witness(d, colors), nodes)
+        return Verdict("feasible", construct._checked(Coloring(d.n, colors), d), nodes)
     return Verdict(tag, None, nodes)
-
-
-def _checked_witness(d: Distribution, colors: tuple[int, ...]) -> Coloring:
-    """The search's witness, certified before it is handed out."""
-    c = Coloring(d.n, colors)
-    w = verify.rainbow_witness(c)
-    if w is not None:
-        raise InternalScheduleError(f"search witness for {d} has rainbow triangle {w}")
-    got = verify.class_sizes(c)
-    if got != d:
-        raise InternalScheduleError(f"search witness has sizes {got.sizes}, wanted {d.sizes}")
-    return c
 
 
 @dataclass(frozen=True)

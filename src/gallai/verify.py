@@ -27,15 +27,31 @@ from .core import (
 
 
 def _color_matrix(arr: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric n x n matrix of the colex colors ``arr`` of K_n (diagonal 0)."""
+    """Symmetric n x n matrix of the colex colors ``arr`` of K_n (diagonal 0).
+
+    The strict lower triangle read row by row is the colex edge order, so
+    one boolean mask places the colors below the diagonal and, through the
+    transpose, above it.
+    """
     mat = np.zeros((n, n), dtype=arr.dtype)
-    pos = 0
-    for v in range(1, n):
-        row = arr[pos : pos + v]
-        mat[v, :v] = row
-        mat[:v, v] = row
-        pos += v
+    lower = np.tri(n, k=-1, dtype=bool)
+    mat[lower] = arr
+    mat.T[lower] = arr
     return mat
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """Colex offset v(v-1)/2 of the down-row of each vertex v = 1..n-1."""
+    return np.arange(1, n) * np.arange(n - 1) // 2
+
+
+def _mixed_rows(c: Coloring) -> np.ndarray:
+    """The vertices whose down-edges (to 0..v-1) carry more than one color."""
+    if c.n < 3:
+        return np.empty(0, dtype=np.intp)
+    arr, starts = c.colex_colors(), _row_starts(c.n)
+    mixed = np.minimum.reduceat(arr, starts) != np.maximum.reduceat(arr, starts)
+    return np.flatnonzero(mixed) + 1
 
 
 def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
@@ -51,16 +67,13 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     special coloring has s <= 2 and is not scanned at all.  The scan is
     O(s^3), vectorized row by row against one strict upper-triangular mask.
     """
-    n = c.n
-    if n < 3 or c.k < 3:
+    if c.n < 3 or c.k < 3:
         return None
-    arr = np.asarray(c.colex_colors(), dtype=np.int32)
-    starts = np.arange(1, n) * np.arange(n - 1) // 2  # row of vertex v starts at v(v-1)/2
-    mixed = np.flatnonzero(np.minimum.reduceat(arr, starts) != np.maximum.reduceat(arr, starts))
+    mixed = _mixed_rows(c)
     if mixed.size == 0:
         return None
-    s = int(mixed[-1]) + 2  # the last mixed row belongs to vertex s-1
-    mat = _color_matrix(arr[: s * (s - 1) // 2], s)
+    s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
+    mat = _color_matrix(c.colex_colors()[: s * (s - 1) // 2], s)
     upper = np.triu(np.ones((s - 1, s - 1), dtype=bool), k=1)
     for u in range(s - 2):
         m = s - u - 1
@@ -124,14 +137,7 @@ def top_l_cover(
 
 def is_special_coloring(c: Coloring) -> bool:
     """True iff every vertex i >= 1 has all its down-edges in one color."""
-    arr = c.colex_colors()
-    pos = 0
-    for v in range(1, c.n):
-        row = arr[pos : pos + v]
-        if any(col != row[0] for col in row):
-            return False
-        pos += v
-    return True
+    return _mixed_rows(c).size == 0
 
 
 def star_partition_of(c: Coloring) -> Optional[StarPartition]:
@@ -139,11 +145,8 @@ def star_partition_of(c: Coloring) -> Optional[StarPartition]:
     if not is_special_coloring(c):
         return None
     groups: dict[int, list[int]] = {}
-    arr = c.colex_colors()
-    pos = 0
-    for v in range(1, c.n):
-        groups.setdefault(arr[pos], []).append(v)
-        pos += v
+    for v, col in enumerate(c.colex_colors()[_row_starts(c.n)].tolist(), start=1):
+        groups.setdefault(col, []).append(v)
     return StarPartition(c.n, tuple(tuple(g) for g in groups.values()))
 
 

@@ -99,6 +99,15 @@ class TestVerify:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+def test_undecodable_file_is_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.coloring"
+    bad.write_bytes(b"2 1\n0 1 \xff\n")
+    code, stdout, stderr = run(capsys, command, str(bad))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 class TestCheckNecessary:
     def test_pass(self, capsys):
         code, stdout, _ = run(capsys, "check-necessary", "--n", "6", "--dist", "7,3,2,2,1")

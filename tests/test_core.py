@@ -1,6 +1,9 @@
+import copy
 import json
+import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +104,48 @@ class TestColoring:
         c = Coloring(1, ())
         assert c.k == 0 and c.counts == ()
 
+    def test_colors_are_read_only(self):
+        c = Coloring(3, (1, 1, 2))
+        assert c.colex_colors().dtype == np.int32
+        with pytest.raises(ValueError):
+            c.colex_colors()[0] = 2
+
+    def test_source_array_is_copied(self):
+        src = np.array([1, 1, 2], dtype=np.int32)
+        c = Coloring(3, src)
+        src[0] = 2
+        assert c.colex_colors().tolist() == [1, 1, 2] and c.counts == (2, 1)
+
+    def test_copies_stay_read_only(self):
+        c = Coloring(3, (1, 1, 2))
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin == c and hash(twin) == hash(c)
+            with pytest.raises(ValueError):
+                twin.colex_colors()[0] = 2
+
+    def test_equal_from_any_source(self):
+        colors = (1, 2, 2, 1, 3, 3)
+        made = [
+            Coloring(4, colors),
+            Coloring(4, list(colors)),
+            Coloring(4, (col for col in colors)),
+            Coloring(4, np.array(colors, dtype=np.int32)),
+            Coloring(4, np.array(colors, dtype=np.int64)),
+        ]
+        assert all(c == made[0] and hash(c) == hash(made[0]) for c in made)
+        assert Coloring(4, (1, 2, 2, 1, 3, 1)) != made[0]
+
+    def test_values_are_python_ints(self):
+        # numpy scalars would print as np.int32(...) in messages and reprs.
+        c = Coloring(4, np.array([1, 2, 2, 1, 3, 3], dtype=np.int64))
+        assert all(type(x) is int for x in c.counts)
+        assert type(c.edge_color(0, 3)) is int and type(c.k) is int
+        assert all(type(x) is int for edge in c.edges() for x in edge)
+
+    def test_huge_color_is_refused_before_counting(self):
+        with pytest.raises(InvariantViolation, match="need at least"):
+            Coloring(2, [10**12])
+
 
 class TestStarPartition:
     def test_valid(self):
@@ -197,6 +242,17 @@ class TestSerialization:
         assert exc.value.line == 1
         with pytest.raises(InvariantViolation):
             deserialize_json('{"n": 100000, "k": 1, "edges": []}')
+
+    def test_huge_declared_k_fails_at_once(self):
+        # k colors cannot all occur on fewer than k edges; the header is
+        # refused before a count array of k + 1 slots could be built.
+        k = 10**12
+        with pytest.raises(InvariantViolation) as exc:
+            deserialize(f"2 {k}\n0 1 {k}\n")
+        assert exc.value.line == 1
+        with pytest.raises(InvariantViolation) as exc:
+            deserialize_json(json.dumps({"n": 2, "k": k, "edges": [[0, 1, k]]}))
+        assert exc.value.line is None
 
     def test_json_that_is_not_an_object(self):
         for text in ("5", "null", '"n k edges"', "[1]"):

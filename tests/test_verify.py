@@ -1,11 +1,11 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gallai.core import Coloring, NotFound, NotGallai, PreconditionViolated, canonicalize, total_edges
 from gallai.construct import extend_by_star, special_coloring, _lex_fill
-from gallai.core import star_partition
+from gallai.core import StarPartition, star_partition
 from gallai.generator import random_gallai
 from gallai.verify import (
     check_necessary,
@@ -19,7 +19,7 @@ from gallai.verify import (
     validate_gallai_partition,
 )
 
-from conftest import arbitrary_colorings, compact_colors, naive_rainbow
+from conftest import arbitrary_colorings, compact_colors, label_partitions, naive_rainbow
 
 
 def special(n, groups):
@@ -183,6 +183,51 @@ class TestSpecialDetection:
         c = Coloring.from_edges(5, edges)
         assert not is_special_coloring(c)
         assert star_partition_of(c) is None
+
+
+def _loop_is_special(c: Coloring) -> bool:
+    """The per-row loop ``is_special_coloring`` replaced; kept as its reference."""
+    arr = c.colex_colors().tolist()
+    pos = 0
+    for v in range(1, c.n):
+        row = arr[pos : pos + v]
+        if any(col != row[0] for col in row):
+            return False
+        pos += v
+    return True
+
+
+def _loop_star_partition(c: Coloring):
+    """The per-row loop ``star_partition_of`` replaced; kept as its reference."""
+    if not _loop_is_special(c):
+        return None
+    groups: dict[int, list[int]] = {}
+    arr = c.colex_colors().tolist()
+    pos = 0
+    for v in range(1, c.n):
+        groups.setdefault(arr[pos], []).append(v)
+        pos += v
+    return StarPartition(c.n, tuple(tuple(g) for g in groups.values()))
+
+
+@st.composite
+def near_special_colorings(draw):
+    """Special colorings, half of them with one edge recolored."""
+    n, groups = draw(label_partitions())
+    arr = special(n, groups).colex_colors().tolist()
+    if draw(st.booleans()):
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(st.integers(1, max(arr) + 1))
+    return Coloring(n, compact_colors(arr))
+
+
+class TestSpecialAgainstRowLoop:
+    @given(st.one_of(arbitrary_colorings(max_n=6), near_special_colorings()))
+    @example(Coloring(1, ()))
+    @example(Coloring(2, (1,)))
+    @settings(max_examples=300)
+    def test_matches_the_row_loop(self, c):
+        assert is_special_coloring(c) == _loop_is_special(c)
+        assert star_partition_of(c) == _loop_star_partition(c)
 
 
 class TestGallaiPartition:
