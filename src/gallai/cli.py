@@ -7,6 +7,7 @@ constructed, 2 usage error, 3 unknown (budget exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -112,9 +113,7 @@ def _cmd_check_necessary(args) -> int:
 def _cmd_oracle(args) -> int:
     d = canonicalize(_parse_dist(args.dist), args.n)
     print(f"distribution: {','.join(map(str, d.sizes))} on K_{d.n}")
-    verdict = oracle.search_realizable(
-        d, max_nodes=args.budget_nodes, max_ms=args.budget_ms, jobs=args.jobs
-    )
+    verdict = oracle.search_realizable(d, max_nodes=args.budget_nodes, max_ms=args.budget_ms)
     print(f"{verdict.tag} (nodes explored: {verdict.nodes_explored})")
     if verdict.is_feasible and args.out:
         assert verdict.witness is not None
@@ -127,7 +126,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     result = oracle.enumerate_realizable(
-        args.n, args.k, max_nodes=args.budget_nodes, max_ms=args.budget_ms, jobs=args.jobs
+        args.n, args.k, max_nodes=args.budget_nodes, max_ms=args.budget_ms
     )
     for d, verdict in result.verdicts:
         print(f"{','.join(map(str, d.sizes))}: {verdict.tag}")
@@ -139,9 +138,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compute_g(args) -> int:
-    g = oracle.compute_g(
-        args.k, args.n_max, max_nodes=args.budget_nodes, max_ms=args.budget_ms, jobs=args.jobs
-    )
+    g = oracle.compute_g(args.k, args.n_max, max_nodes=args.budget_nodes, max_ms=args.budget_ms)
     if g is None:
         print("unknown")
         return EXIT_UNKNOWN
@@ -172,9 +169,11 @@ def _cmd_export_dot(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None, help="node budget for the search")
-    p.add_argument("--budget-ms", type=int, default=None, help="wall-clock budget in ms")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the search")
+    p.add_argument("--budget-nodes", type=int, default=None,
+                   help="node budget for the search; bounds its memory, not its time")
+    p.add_argument("--budget-ms", type=int, default=None,
+                   help="wall-clock budget in ms; the only bound on time")
+    p.add_argument("--jobs", type=int, default=1, help="deprecated and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", type=str, required=True)
     p.set_defaults(func=_cmd_check_necessary)
 
-    p = sub.add_parser("oracle", help="exhaustive realizability search")
+    p = sub.add_parser("oracle", help="exact realizability decision for small n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", type=str, required=True)
     p.add_argument("--out", type=str, default=None, help="write the witness here")
@@ -248,9 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process, since building it
+    costs far more than a parse, and every parse fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GallaiError, OSError) as exc:

@@ -830,7 +830,10 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
     Guaranteed regions: k <= 2 always; k = 3 with n >= 5; k = 4 with
     n >= 8; k >= 5 with n >= 8k^2+1.  Outside them the necessary condition
     is checked first, then a star-partition search, then (for n <= 8) the
-    exhaustive oracle.
+    oracle, whose table of Gallai substitutions holds every count vector of
+    K_n and so decides exactly; its witness is a substitution, not a
+    special coloring.  Larger n outside the guaranteed regions stay
+    ``unknown`` when star search finds nothing.
     """
     k, n = d.k, d.n
     if (

@@ -356,10 +356,11 @@ class DivisionParams:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Three-valued answer of the exhaustive search.
+    """Three-valued answer of the oracle.
 
-    feasible carries a witness coloring, infeasible certifies the search
-    space was exhausted, unknown means a budget was hit.
+    feasible carries a witness coloring, infeasible certifies that no
+    rainbow-free coloring has the sizes, unknown means a budget was hit.
+    ``nodes_explored`` is the oracle's work count (see ``oracle``).
     """
 
     tag: str  # "feasible" | "infeasible" | "unknown"

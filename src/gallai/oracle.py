@@ -1,18 +1,42 @@
 """Exact decision procedures for small instances.
 
-The search colors edges in colex order (all edges into vertex v come after
-everything among 0..v-1), pruning on: the rainbow triangle closed by the new
-edge, exhausted color budgets, symmetry among interchangeable colors, and the
-prefix-sum bound applied to the untouched vertex suffix.  Budgets turn into
-an ``unknown`` verdict, never a wrong tag.
+``search_realizable`` answers from Gallai's decomposition (T. Gallai,
+*Transitiv orientierbare Graphen*, 1967; Gyárfás–Simonyi, J. Graph Theory
+46, 2004): every rainbow-free coloring of K_s with s >= 2 is a 2-colored
+K_m (m >= 2) with rainbow-free colorings substituted into its vertices, and
+every such substitution is rainbow-free.  So the count vectors K_s realizes
+follow exactly from those of smaller cliques.  For each color count k a
+process-wide table holds, level by level, every count vector some
+rainbow-free coloring of K_s realizes, as a non-increasing k-tuple with
+zeros allowed (a level is closed under color permutation), each with one
+recipe that rebuilds such a coloring.  A request grows the table up to its
+n and looks its sizes up.  ``nodes_explored`` is the number of entries in
+levels 2..n: the same whether this request or an earlier one built them, so
+a node budget means the same in any process.  Budgets are checked while a
+level is built, an unfinished level is never stored, and a budget turns
+into an ``unknown`` verdict, never a wrong tag.  The node budget bounds the
+entries and the partial sums held while a level is built, so it bounds
+memory; only the time budget bounds how long the build takes.
+
+Which decompositions a level needs: when the 2-colored K_m has a cut whose
+crossing pairs share one color, merging the blocks on each side gives a
+2-block decomposition, and every 2-coloring of K_3 has such a cut.  So a
+level takes every 2-block decomposition in one cross color and every one
+with m >= 4 blocks in two distinct cross colors, and no others.
+
+``_backtrack`` is an independent second method, kept off the request path
+to check the table: it colors edges in colex order (all edges into vertex v
+come after everything among 0..v-1), pruning on the rainbow triangle closed
+by the new edge, exhausted color budgets, symmetry among interchangeable
+colors, and the prefix-sum bound applied to the untouched vertex suffix.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BudgetExceeded,
@@ -23,6 +47,242 @@ from .core import (
     total_edges,
 )
 from . import verify
+
+Vector = tuple[int, ...]
+
+
+class _OverNodeBudget(BudgetExceeded):
+    """The level being built would hold more entries than the budget allows."""
+
+
+class _Recipe(NamedTuple):
+    """One coloring behind a table entry, in that entry's color order.
+
+    Consecutive vertex blocks of ``sizes`` carry colorings with the count
+    vectors ``parts``; the block pairs whose size products make up ``e_a``
+    take color index ``a``, the other pairs color index ``b``.
+    """
+
+    sizes: tuple[int, ...]
+    parts: tuple[Vector, ...]
+    e_a: int
+    a: int
+    b: int
+
+
+# k -> levels; levels[s] maps each count vector of K_s to its recipe
+# (None for the empty K_1).  Index 0 is an unused empty level.
+_TABLES: dict[int, list[dict[Vector, Optional[_Recipe]]]] = {}
+_STORE = threading.Lock()
+
+
+def _desc_order(w) -> list[int]:
+    """Positions of ``w`` by descending value, ties in position order."""
+    return sorted(range(len(w)), key=w.__getitem__, reverse=True)
+
+
+def _runs(y: Vector) -> tuple[int, ...]:
+    """Lengths of the runs of equal values in the sorted vector ``y``."""
+    runs: list[int] = []
+    for i, value in enumerate(y):
+        if i and value == y[i - 1]:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(runs)
+
+
+def _choose(counts: tuple[int, ...], size: int):
+    """Ways to take ``size`` items from groups of ``counts`` alike items."""
+    if not counts:
+        if size == 0:
+            yield ()
+        return
+    for take in range(min(counts[0], size), -1, -1):
+        for rest in _choose(counts[1:], size - take):
+            yield (take,) + rest
+
+
+def _spreads(x: Vector, runs: tuple[int, ...]) -> list[Vector]:
+    """The permutations of ``x`` that are non-increasing on each run.
+
+    Added to a sorted vector with those runs, they reach every orbit
+    (under color permutation) of its sums with a permutation of ``x``.
+    """
+    values = sorted(set(x), reverse=True)
+    out: list[Vector] = []
+
+    def rec(i: int, counts: tuple[int, ...], acc: Vector) -> None:
+        if i == len(runs):
+            out.append(acc)
+            return
+        for takes in _choose(counts, runs[i]):
+            block = tuple(v for v, t in zip(values, takes) for _ in range(t))
+            rec(i + 1, tuple(c - t for c, t in zip(counts, takes)), acc + block)
+
+    rec(0, tuple(x.count(v) for v in values), ())
+    return out
+
+
+def _pair_subsets(sizes: tuple[int, ...]):
+    """Block pairs (i, j), i < j, and for each reachable sum of their size
+    products one set of pair indices that reaches it."""
+    pairs = [(i, j) for j in range(len(sizes)) for i in range(j)]
+    reach: dict[int, tuple[int, ...]] = {0: ()}
+    for idx, (i, j) in enumerate(pairs):
+        w = sizes[i] * sizes[j]
+        for total, chosen in list(reach.items()):
+            reach.setdefault(total + w, chosen + (idx,))
+    return pairs, reach
+
+
+def _tick(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("time budget exhausted")
+
+
+def _fill_level(
+    level: dict, levels: list, s: int, k: int, limit: Optional[int], deadline: Optional[float]
+) -> None:
+    """Put every count vector of K_s into ``level``, with one recipe each.
+
+    Raises ``_OverNodeBudget`` once the level, or one fold of block sums,
+    holds more than ``limit`` vectors, and ``BudgetExceeded`` past the
+    deadline.  A fold never outgrows the finished level: a fold of blocks
+    with sizes summing to t maps one-to-one into K_t's level (all cross
+    pairs in the largest color), and K_t's level into K_s's (add s - t
+    vertices, each joined to all earlier ones in the largest color).  So
+    stopping on a fold never turns an answer into ``unknown``.
+    """
+    spread_memo: dict[tuple[Vector, tuple[int, ...]], list[Vector]] = {}
+
+    def add(v: list[int], sizes, parts, e_a: int, a: int, b: int) -> None:
+        key = tuple(sorted(v, reverse=True))
+        if key in level:
+            return
+        order = _desc_order(v)
+        level[key] = _Recipe(
+            sizes, tuple(tuple(q[i] for i in order) for q in parts), e_a, order.index(a), order.index(b)
+        )
+        if limit is not None and len(level) > limit:
+            raise _OverNodeBudget("node budget exhausted")
+
+    def extend(fold: dict, block: dict) -> dict:
+        """Sums of the fold's vectors with a coloring of one more block."""
+        out: dict[Vector, tuple[Vector, ...]] = {}
+        for y, parts in fold.items():
+            _tick(deadline)
+            runs = _runs(y)
+            for x in block:
+                spreads = spread_memo.get((x, runs))
+                if spreads is None:
+                    spreads = spread_memo[x, runs] = _spreads(x, runs)
+                for p in spreads:
+                    w = [i + j for i, j in zip(y, p)]
+                    z = tuple(sorted(w, reverse=True))
+                    if z not in out:
+                        order = _desc_order(w)
+                        out[z] = tuple(tuple(q[i] for i in order) for q in (*parts, p))
+                        if limit is not None and len(out) > limit:
+                            raise _OverNodeBudget("node budget exhausted")
+        return out
+
+    def cross(fold: dict, sizes: tuple[int, ...]) -> None:
+        """Add the cross pairs' colors to every sum of the blocks."""
+        _, reach = _pair_subsets(sizes)
+        total = max(reach)
+        # The larger share goes to either color through the ordered pairs.
+        shares = [e for e in reach if 0 < e and 2 * e <= total]
+        for y, parts in fold.items():
+            _tick(deadline)
+            heads, at = [], 0
+            for length in _runs(y):
+                heads.append((at, length))
+                at += length
+            if len(sizes) == 2:
+                for a, _ in heads:
+                    v = list(y)
+                    v[a] += total
+                    add(v, sizes, parts, total, a, a)
+                continue
+            colors = [(a, b) for a, _ in heads for b, _ in heads if a != b]
+            colors += [(a, a + 1) for a, length in heads if length > 1]
+            for a, b in colors:
+                for e in shares:
+                    v = list(y)
+                    v[a] += total - e
+                    v[b] += e
+                    add(v, sizes, parts, total - e, a, b)
+
+    def visit(fold: dict, sizes: tuple[int, ...], left: int) -> None:
+        """Blocks of non-increasing sizes: all of them, or more to come."""
+        if left == 0:
+            cross(fold, sizes)
+            return
+        for part in range(min(sizes[-1] if sizes else s - 1, left), 0, -1):
+            if len(sizes) == 2 and part == left:
+                continue  # three blocks: covered by two
+            visit(extend(fold, levels[part]), sizes + (part,), left - part)
+
+    visit({(0,) * k: ()}, (), s)
+
+
+def _rebuild(levels: list, n: int, key: Vector) -> list[int]:
+    """Colex colors of the coloring that ``levels[n][key]`` describes;
+    color c + 1 has ``key[c]`` edges."""
+    rows = [[0] * n for _ in range(n)]
+
+    def fill(s: int, key: Vector, first: int, label: list[int]) -> None:
+        recipe = levels[s][key]
+        if recipe is None:
+            return
+        starts = []
+        for size, x in zip(recipe.sizes, recipe.parts):
+            order = _desc_order(x)
+            fill(size, tuple(x[i] for i in order), first, [label[i] for i in order])
+            starts.append(first)
+            first += size
+        pairs, reach = _pair_subsets(recipe.sizes)
+        chosen = set(reach[recipe.e_a])
+        for idx, (i, j) in enumerate(pairs):
+            color = label[recipe.a] if idx in chosen else label[recipe.b]
+            for v in range(starts[j], starts[j] + recipe.sizes[j]):
+                rows[v][starts[i]: starts[i] + recipe.sizes[i]] = [color] * recipe.sizes[i]
+
+    fill(n, key, 0, list(range(1, len(key) + 1)))
+    return [rows[v][u] for v in range(n) for u in range(v)]
+
+
+def _structural(
+    n: int, sizes: Vector, max_nodes: Optional[int], deadline: Optional[float]
+) -> tuple[str, Optional[list[int]], int]:
+    """Table lookup, growing the table to K_n first; returns (tag, colex
+    colors or None, nodes).  An unknown verdict from the node budget counts
+    ``max_nodes``; one from the deadline counts the entries stored before
+    the stop, at most ``max_nodes``."""
+    k = len(sizes)
+    levels = _TABLES.setdefault(k, [{}, {(0,) * k: None}])
+    nodes = 0
+    for s in range(2, n + 1):
+        limit = None if max_nodes is None else max_nodes - nodes
+        if s == len(levels):
+            level: dict[Vector, Optional[_Recipe]] = {}
+            try:
+                _fill_level(level, levels, s, k, limit, deadline)
+            except _OverNodeBudget:
+                return "unknown", None, max_nodes
+            except BudgetExceeded:
+                spent = nodes + len(level)
+                return "unknown", None, spent if max_nodes is None else min(spent, max_nodes)
+            with _STORE:  # another thread may have stored it meanwhile
+                if s == len(levels):
+                    levels.append(level)
+        nodes += len(levels[s])
+        if max_nodes is not None and nodes > max_nodes:
+            return "unknown", None, max_nodes
+    if sizes in levels[n]:
+        return "feasible", _rebuild(levels, n, sizes), nodes
+    return "infeasible", None, nodes
 
 
 def _suffix_bounds(n: int, k: int) -> list[Optional[tuple[int, ...]]]:
@@ -52,7 +312,6 @@ def _backtrack(
     sizes: tuple[int, ...],
     max_nodes: Optional[int],
     deadline: Optional[float],
-    prefix: tuple[int, ...] = (),
 ) -> tuple[str, Optional[tuple[int, ...]], int]:
     """Exhaustive search core; returns (tag, colex colors or None, nodes)."""
     k = len(sizes)
@@ -84,7 +343,6 @@ def _backtrack(
     masks = [0] * E
     ptrs = [0] * E
     nodes = 0
-    nf = len(prefix)
     masks[0] = full
     t = 0
     time_check = 0
@@ -92,24 +350,14 @@ def _backtrack(
     while True:
         mask = masks[t]
         c = ptrs[t] + 1
-        if t < nf:
-            # Forced prefix move (parallel subtree split).
-            c = prefix[t] if ptrs[t] == 0 else k + 1
-            if c <= k and not (
+        while c <= k:
+            if (
                 (mask >> c) & 1
                 and rem[c] > 0
                 and (used[c] or sym_prev[c] == 0 or used[sym_prev[c]])
             ):
-                c = k + 1
-        else:
-            while c <= k:
-                if (
-                    (mask >> c) & 1
-                    and rem[c] > 0
-                    and (used[c] or sym_prev[c] == 0 or used[sym_prev[c]])
-                ):
-                    break
-                c += 1
+                break
+            c += 1
         if c > k:
             if t == 0:
                 return "infeasible", None, nodes
@@ -161,23 +409,6 @@ def _backtrack(
         t = nt
 
 
-def _backtrack_worker(args) -> tuple[str, Optional[tuple[int, ...]], int]:
-    return _backtrack(*args)
-
-
-def _root_prefixes(n: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Color choices for the first two edges (subtree split points).
-
-    Invalid combinations are cheap: the worker rejects them immediately
-    through the same validity checks as regular moves.
-    """
-    k = len(sizes)
-    firsts = [c for c in range(1, k + 1) if c == 1 or sizes[c - 1] != sizes[c - 2]]
-    if total_edges(n) < 2:
-        return [(c,) for c in firsts]
-    return [(c1, c2) for c1 in firsts for c2 in range(1, k + 1)]
-
-
 def search_realizable(
     d: Distribution,
     *,
@@ -187,9 +418,10 @@ def search_realizable(
 ) -> Verdict:
     """Decide whether any rainbow-free coloring realizes d.
 
-    feasible comes with a verified witness; infeasible means the pruned
-    search space was exhausted; unknown means a budget was hit.  Intended
-    for n <= 8 (larger inputs are accepted but may come back unknown).
+    feasible comes with a verified witness; infeasible means no count
+    vector of K_n matches; unknown means a budget was hit.  Meant for small
+    n: the table for K_n holds every realizable count vector of every
+    smaller clique.  ``jobs`` is deprecated and ignored.
     """
     ok, _ = verify.check_necessary(d)
     if not ok:
@@ -206,19 +438,7 @@ def search_realizable(
         witness = construct.special_coloring(sp)
         return Verdict("feasible", witness, 0)
 
-    if jobs > 1 and total_edges(d.n) >= 2:
-        prefixes = _root_prefixes(d.n, d.sizes)
-        tasks = [(d.n, d.sizes, max_nodes, deadline, p) for p in prefixes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_backtrack_worker, tasks))
-        nodes = sum(r[2] for r in results)
-        tags = [tag for tag, _, _ in results]
-        if "feasible" in tags:
-            tag, colors, _ = results[tags.index("feasible")]
-        else:
-            tag = "unknown" if "unknown" in tags else "infeasible"
-    else:
-        tag, colors, nodes = _backtrack(d.n, d.sizes, max_nodes, deadline)
+    tag, colors, nodes = _structural(d.n, d.sizes, max_nodes, deadline)
     if tag == "feasible":
         assert colors is not None
         return Verdict("feasible", construct._checked(Coloring(d.n, colors), d), nodes)
@@ -268,11 +488,14 @@ def enumerate_realizable(
     max_ms: Optional[int] = None,
     jobs: int = 1,
 ) -> EnumerationResult:
-    """Classify every k-part distribution of the edges of K_n."""
+    """Classify every k-part distribution of the edges of K_n.
+
+    ``jobs`` is deprecated and ignored.
+    """
     out = []
     for sizes in partitions(total_edges(n), k):
         d = canonicalize(sizes, n)
-        out.append((d, search_realizable(d, max_nodes=max_nodes, max_ms=max_ms, jobs=jobs)))
+        out.append((d, search_realizable(d, max_nodes=max_nodes, max_ms=max_ms)))
     return EnumerationResult(n, k, tuple(out))
 
 
@@ -288,12 +511,13 @@ def compute_g(
 
     Thanks to the monotone star-extension property, the first fully
     feasible n is the threshold itself.  Returns None (unknown) when a
-    budget prevents classification or n_max is exhausted.
+    budget prevents classification or n_max is exhausted.  ``jobs`` is
+    deprecated and ignored.
     """
     if k < 3:
         raise ValueError("the threshold is only defined for k >= 3")
     for n in range(max(2, 2 * k - 2), n_max + 1):
-        result = enumerate_realizable(n, k, max_nodes=max_nodes, max_ms=max_ms, jobs=jobs)
+        result = enumerate_realizable(n, k, max_nodes=max_nodes, max_ms=max_ms)
         if result.infeasible:
             continue
         if result.unknown:

@@ -186,3 +186,23 @@ class TestUsage:
     def test_bad_dist_string(self, capsys):
         code, _, stderr = run(capsys, "construct", "--n", "5", "--dist", "6,x,2")
         assert code == 2
+
+
+def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
+    """``main`` reuses one parser; each call must see only its own flags."""
+    from gallai.cli import _parser
+
+    out = tmp_path / "w.coloring"
+    argv = ["oracle", "--n", "6", "--dist", "8,3,3,1", "--budget-nodes", "3", "--out", str(out)]
+    assert run(capsys, *argv)[0] == 3
+    code, stdout, _ = run(capsys, "construct", "--n", "5", "--dist", "6,2,2")
+    assert code == 0 and stdout.startswith("distribution: 6,2,2 on K_5\n5 3\n")
+    # The same subcommand without the budget and the output file.
+    code, stdout, _ = run(capsys, "oracle", "--n", "6", "--dist", "8,3,3,1")
+    assert code == 0 and "witness written" not in stdout and not out.exists()
+    args = _parser().parse_args(["enumerate", "--n", "4", "--k", "3"])
+    assert vars(args) == {
+        "command": "enumerate", "n": 4, "k": 3, "budget_nodes": None, "budget_ms": None,
+        "jobs": 1, "func": args.func,
+    }
+    assert _parser() is _parser()

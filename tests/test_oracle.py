@@ -134,24 +134,8 @@ class TestSoundness:
                         assert class_sizes(v.witness) == d
 
 
-class _InlinePool:
-    """Stand-in for ProcessPoolExecutor that maps in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestWitnessCheck:
-    # (8,3,3,1) on K_6 has no special coloring, so the backtracker answers it.
+    # (8,3,3,1) on K_6 has no special coloring, so the table answers it.
     D = canonicalize([8, 3, 3, 1], 6)
     # Triangle {0,1,2} is rainbow; the class sizes are still (8,3,3,1).
     RAINBOW = (1, 2, 3) + (1,) * 7 + (2, 2, 3, 3, 4)
@@ -165,7 +149,147 @@ class TestWitnessCheck:
         from gallai.core import Coloring, InternalScheduleError
 
         assert class_sizes(Coloring(6, self.RAINBOW)) == self.D
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(oracle, "_backtrack", lambda *args: ("feasible", colors, 1))
+        monkeypatch.setattr(oracle, "_rebuild", lambda *args: list(colors))
         with pytest.raises(InternalScheduleError):
             search_realizable(self.D, jobs=jobs)
+
+
+class TestStructural:
+    """The substitution table against the backtracker, and its budgets."""
+
+    def test_agrees_with_backtracking(self):
+        from gallai import oracle
+        from gallai.construct import _checked
+        from gallai.core import Coloring
+
+        # Every distribution with n <= 6, and with n = 7 and k <= 5.
+        cases = [
+            canonicalize(sizes, n)
+            for n in range(2, 8)
+            for k in range(1, (total_edges(n) if n < 7 else 5) + 1)
+            for sizes in partitions(total_edges(n), k)
+        ]
+        assert len(cases) == 233 + 221
+        for d in cases:
+            tag, colors, _ = oracle._structural(d.n, d.sizes, None, None)
+            assert (tag, d) == (oracle._backtrack(d.n, d.sizes, None, None)[0], d)
+            if tag == "feasible":
+                _checked(Coloring(d.n, colors), d)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_every_entry_rebuilds(self, k):
+        from gallai import oracle
+        from gallai.core import Coloring
+
+        oracle._structural(7, (0,) * k, None, None)
+        levels = oracle._TABLES[k]
+        for s in range(2, 8):
+            for key in levels[s]:
+                c = Coloring(s, oracle._rebuild(levels, s, key))
+                assert is_gallai(c)
+                assert class_sizes(c).sizes == tuple(v for v in key if v)
+
+    def test_needs_more_than_two_blocks(self):
+        # Every coloring of K_9 with these sizes is a substitution into a
+        # 2-colored K_m, m >= 4, with no one-colored cut; star search finds
+        # none, and the backtracker gives up after 2*10^7 nodes.
+        from gallai import oracle
+
+        d = canonicalize([17, 10, 3, 2, 2, 2], 9)
+        v = search_realizable(d)
+        assert v.is_feasible and v.witness is not None and is_gallai(v.witness)
+        assert class_sizes(v.witness) == d
+        assert len(oracle._TABLES[6][9][d.sizes].sizes) == 4
+
+    @pytest.mark.parametrize(
+        "sizes", [(20, 2, 2, 2, 2), (12, 4, 4, 4, 4), (8, 5, 5, 5, 5), (6, 6, 6, 6, 4), (6, 6, 6, 5, 5)]
+    )
+    def test_k8_five_color_infeasible(self, sizes):
+        # The backtracker proved these; it cannot finish the rest of K_8.
+        assert search_realizable(canonicalize(sizes, 8)).is_infeasible
+
+    def test_nodes_equal_cold_and_warm(self, monkeypatch):
+        from gallai import oracle
+
+        d = canonicalize([9, 7, 3, 1, 1], 7)
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        cold = search_realizable(d)
+        warm = search_realizable(d)
+        assert cold.tag == warm.tag == "infeasible"
+        # Levels 2..7 of the five-color table.
+        assert cold.nodes_explored == warm.nodes_explored == 1 + 2 + 6 + 17 + 56 + 171
+        # A smaller clique counts only its own levels, though K_7 is built.
+        assert search_realizable(canonicalize([8, 3, 2, 1, 1], 6)).nodes_explored == 82
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_node_budget_is_the_entry_count(self, monkeypatch, warm):
+        from gallai import oracle
+
+        d = canonicalize([8, 3, 3, 1], 6)
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        if warm:
+            search_realizable(d)
+        assert search_realizable(d, max_nodes=76).tag == "feasible"
+        short = search_realizable(d, max_nodes=75)
+        assert short.is_unknown and short.nodes_explored == 75
+        assert search_realizable(d).nodes_explored == 76
+
+    def test_unfinished_level_is_not_stored(self, monkeypatch):
+        from gallai import oracle
+
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        d = canonicalize([8, 3, 3, 1], 6)
+        assert search_realizable(d, max_nodes=30).is_unknown
+        # Levels 2..5 hold 1 + 2 + 6 + 17 entries; level 6 (50) went past the budget.
+        assert [len(level) for level in oracle._TABLES[4]] == [0, 1, 1, 2, 6, 17]
+        assert search_realizable(d, max_ms=0).is_unknown
+        assert len(oracle._TABLES[4]) == 6
+        assert search_realizable(d).is_feasible
+
+    def test_node_budget_bounds_the_block_sums(self, monkeypatch):
+        from gallai import oracle
+        from gallai.core import BudgetExceeded
+
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        search_realizable(canonicalize([9, 7, 3, 1, 1], 7))
+        levels = oracle._TABLES[5]
+        # K_8's first fold is K_7's 171 vectors: a limit of 170 stops there,
+        # before any entry of K_8 is made.
+        level = {}
+        with pytest.raises(BudgetExceeded):
+            oracle._fill_level(level, levels, 8, 5, 170, None)
+        assert level == {}
+
+    def test_jobs_do_not_change_the_answer(self):
+        for d in (canonicalize([8, 3, 3, 1], 6), canonicalize([9, 4, 4, 4], 7)):
+            assert search_realizable(d, jobs=3) == search_realizable(d)
+
+    def test_threads_share_one_table(self, monkeypatch):
+        import sys
+        import threading
+
+        from gallai import oracle
+
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        cases = [canonicalize([9, 7, 3, 1, 1], 7), canonicalize([8, 3, 2, 1, 1], 6)] * 3
+        results = [None] * len(cases)
+
+        def ask(i):
+            results[i] = search_realizable(cases[i])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        # A level stored twice would shift every level above it.
+        assert [len(level) for level in oracle._TABLES[5]] == [0, 1, 1, 2, 6, 17, 56, 171]
+        assert [(v.tag, v.nodes_explored) for v in results] == [
+            ("infeasible", 253), ("feasible", 82)
+        ] * 3
