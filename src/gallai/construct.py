@@ -100,19 +100,26 @@ def star_partition_for(
     Backtracking over the labels n-1, n-2, ..., 1 (largest first), placing
     each into one of the k groups; among groups with equal residual need
     only the first is tried.  Exhaustion without success proves that no
-    special coloring of d exists.  Raises BudgetExceeded past ``max_nodes``.
+    special coloring of d exists.
+
+    Every node, and the root, must pass the capacity bound
+    (``_capacity_ok``): with only the labels 1..top left, the nonzero
+    residuals sorted ascending r_1 <= r_2 <= ... need r_1 + ... + r_j <=
+    T(T+1)/2 with T = min(r_j, top), and at most top of them may be
+    nonzero.  Proof: groups 1..j take disjoint labels, each at most r_j and
+    at most top, so together at most 1 + ... + T, and every nonzero group
+    takes at least one label.  The bound is necessary, so it cuts only
+    subtrees without a solution: the first partition found, and every None,
+    are those of the unpruned search.  ``max_nodes`` counts the nodes of the
+    pruned search; past it the search raises BudgetExceeded.
     """
     n, k = d.n, d.k
     if k == 0:
         return StarPartition(n, ()) if n == 1 else None
-    if k > n - 1:
-        return None
     residual = list(d.sizes)
+    if not _capacity_ok(residual, n - 1):
+        return None
     assign = [0] * (n - 1)
-    # rem_sum[idx] = sum of labels still unplaced at depth idx
-    rem_sum = [0] * n
-    for idx in range(n - 2, -1, -1):
-        rem_sum[idx] = rem_sum[idx + 1] + (n - 1 - idx)
     nodes = 0
 
     def place(idx: int) -> bool:
@@ -120,7 +127,6 @@ def star_partition_for(
         if idx == n - 1:
             return True
         label = n - 1 - idx
-        left = rem_sum[idx + 1]
         tried = set()
         for g in range(k):
             r = residual[g]
@@ -131,7 +137,7 @@ def star_partition_for(
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceeded(f"star partition search exceeded {max_nodes} nodes")
             residual[g] = r - label
-            if max(residual) <= left:
+            if _capacity_ok(residual, label - 1):
                 assign[idx] = g
                 if place(idx + 1):
                     return True
@@ -144,6 +150,26 @@ def star_partition_for(
     for idx, g in enumerate(assign):
         groups[g].append(n - 1 - idx)
     return star_partition(n, groups)
+
+
+def _capacity_ok(residual: list[int], top: int) -> bool:
+    """The capacity bound of ``star_partition_for``; needs sum(residual) ==
+    1 + ... + top, which the search keeps.
+
+    By that sum, a prefix ending at r_j >= top meets its bound top(top+1)/2,
+    so the scan stops at the first such residual.  The prefixes below it
+    force the j-th smallest nonzero residual to be at least j (induction on
+    j), and with that sum at most top residuals can be nonzero, so the
+    count needs no test of its own.
+    """
+    filled = 0
+    for r in sorted(residual):
+        if r >= top:
+            return True
+        filled += r
+        if 2 * filled > r * (r + 1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

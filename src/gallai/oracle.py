@@ -474,6 +474,8 @@ def partitions(total: int, parts: int, max_part: Optional[int] = None):
         if total == 0:
             yield ()
         return
+    if total < parts:
+        return
     least = -(-total // parts)
     for first in range(min(max_part, total - parts + 1), least - 1, -1):
         for rest in partitions(total - first, parts - 1, first):

@@ -146,6 +146,11 @@ class TestEnumerateAndG:
         assert "2,2,2: infeasible" in stdout
         assert "total 3: 2 feasible, 1 infeasible, 0 unknown" in stdout
 
+    def test_enumerate_k1_has_no_distribution(self, capsys):
+        code, stdout, _ = run(capsys, "enumerate", "--n", "1", "--k", "1")
+        assert code == 0
+        assert stdout.strip() == "total 0: 0 feasible, 0 infeasible, 0 unknown"
+
     def test_compute_g(self, capsys):
         code, stdout, _ = run(capsys, "compute-g", "--k", "3", "--n-max", "6")
         assert code == 0 and stdout.strip() == "5"

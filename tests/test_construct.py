@@ -91,6 +91,57 @@ class TestStarPartitionSearch:
         if sp is not None:
             verified(special_coloring(sp), d.sizes)
 
+    @staticmethod
+    def _block_sums(n: int) -> set:
+        """Sorted block sums of every set partition of the labels 1..n-1."""
+        out = set()
+
+        def grow(label: int, sums: list) -> None:
+            if label == n:
+                out.add(tuple(sorted(sums, reverse=True)))
+                return
+            for i in range(len(sums)):
+                sums[i] += label
+                grow(label + 1, sums)
+                sums[i] -= label
+            sums.append(label)
+            grow(label + 1, sums)
+            sums.pop()
+
+        grow(1, [])
+        return out
+
+    def test_agrees_with_set_partition_enumeration(self):
+        from gallai.oracle import partitions
+
+        # Second method: for n <= 9 list every set partition of {1..n-1}
+        # (Bell(8) = 4,140 at n = 9) instead of searching.
+        for n in range(2, 10):
+            special = self._block_sums(n)
+            for k in range(1, total_edges(n) + 1):
+                for sizes in partitions(total_edges(n), k):
+                    sp = star_partition_for(canonicalize(sizes, n))
+                    assert (sp is not None) == (sizes in special), (n, sizes)
+                    if sp is not None:
+                        assert tuple(sorted(sp.group_sums(), reverse=True)) == sizes
+
+    @pytest.mark.parametrize("n, sizes", [
+        (19, (57, 38, 23, 20, 19, 12, 1, 1)),
+        (25, (186, 48, 34, 21, 4, 3, 3, 1)),
+    ])
+    def test_capacity_bound_refutes_within_small_budget(self, n, sizes):
+        # Each took more than 10^5 nodes before the capacity bound.
+        assert star_partition_for(canonicalize(sizes, n), max_nodes=1_000) is None
+
+    @pytest.mark.parametrize("n, sizes", [
+        (23, (61, 40, 39, 36, 33, 31, 12, 1)),
+        (38, (209, 144, 123, 113, 45, 45, 24)),
+    ])
+    def test_capacity_bound_finds_within_small_budget(self, n, sizes):
+        sp = star_partition_for(canonicalize(sizes, n), max_nodes=1_000)
+        assert sp is not None
+        verified(special_coloring(sp), sizes)
+
 
 class TestDivision:
     def test_spec_examples(self):

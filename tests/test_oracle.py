@@ -20,6 +20,7 @@ class TestPartitions:
     def test_empty(self):
         assert list(partitions(5, 0)) == []
         assert list(partitions(0, 0)) == [()]
+        assert list(partitions(0, 1)) == []
 
 
 class TestSearch:
