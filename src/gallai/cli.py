@@ -173,7 +173,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="node budget for the search; bounds its memory, not its time")
     p.add_argument("--budget-ms", type=int, default=None,
                    help="wall-clock budget in ms; the only bound on time")
-    p.add_argument("--jobs", type=int, default=1, help="deprecated and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

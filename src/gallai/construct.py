@@ -7,6 +7,10 @@ paper's constructive proofs and have no fallback to star search: a schedule
 that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
 label partition, ``InternalScheduleError`` for wrong class sizes).
 
+The K_5 base is the paper's fixed table.  The K_8 base has no schedule of
+its own: it asks ``oracle.search_realizable``, which tries star search and
+then its table of Gallai substitutions, and certifies a table witness.
+
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: the class sizes and either speciality, where promised, or
 rainbow-freeness.  Builders that recurse (the K_5/K_8 bases under
@@ -39,7 +43,7 @@ from .core import (
     total_edges,
     _lex_order,
 )
-from . import verify
+from . import oracle, verify
 
 
 @dataclass(frozen=True, slots=True)
@@ -502,116 +506,13 @@ def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
     return Coloring(n, arr)
 
 
-_SMALL_MEMO: dict[tuple[int, tuple[int, ...]], Optional[np.ndarray]] = {}
-
-
-def _small_gallai(n: int, sizes: tuple[int, ...]) -> Optional[np.ndarray]:
-    """Colex color array of some rainbow-free coloring of K_n, or None."""
-    key = (n, sizes)
-    if key not in _SMALL_MEMO:
-        from . import oracle
-
-        verdict = oracle.search_realizable(canonicalize(sizes, n))
-        _SMALL_MEMO[key] = (
-            verdict.witness.colex_colors() if verdict.is_feasible else None
-        )
-    return _SMALL_MEMO[key]
-
-
-def _clique_multisets(edge_total: int, max_verts: int):
-    """Non-increasing clique orders with the given total edge count."""
-
-    def gen(left: int, verts: int, cap: int):
-        if left == 0:
-            yield []
-            return
-        a = cap
-        while a >= 2:
-            ea = total_edges(a)
-            if ea <= left and a <= verts:
-                for rest in gen(left - ea, verts - a, a):
-                    yield [a] + rest
-            a -= 1
-
-    yield from gen(edge_total, max_verts, max_verts)
-
-
-def _split_matrices(sizes: list[int], caps: list[int]):
-    """All ways to spread each color count over the cliques, filling each."""
-    nc = len(caps)
-
-    def gen(idx: int, loads: list[int]):
-        if idx == len(sizes):
-            if loads == caps:
-                yield []
-            return
-        size = sizes[idx]
-
-        def spread(j: int, left: int, row: list[int]):
-            if j == nc - 1:
-                if left <= caps[j] - loads[j]:
-                    yield row + [left]
-                return
-            for take in range(min(left, caps[j] - loads[j]) + 1):
-                yield from spread(j + 1, left - take, row + [take])
-
-        for row in spread(0, size, []):
-            new_loads = [a + b for a, b in zip(loads, row)]
-            for rest in gen(idx + 1, new_loads):
-                yield [row] + rest
-
-    yield from gen(0, [0] * nc)
-
-
-def _realize_on_cliques(
-    n_verts: int, smalls: list[tuple[int, int]], comp_color: int
-) -> Optional[Coloring]:
-    """Place the small classes inside vertex-disjoint cliques.
-
-    The cliques carry the small colors (each clique rainbow-free on its
-    own), and the complete multipartite complement carries ``comp_color``.
-    Returns None when no clique layout admits a valid split.
-    """
-    sizes = [s for _, s in smalls]
-    colors = [c for c, _ in smalls]
-    total = sum(sizes)
-    for cliques in _clique_multisets(total, n_verts):
-        caps = [total_edges(a) for a in cliques]
-        for matrix in _split_matrices(sizes, caps):
-            witnesses = []
-            for j, a in enumerate(cliques):
-                sub = tuple(sorted((matrix[i][j] for i in range(len(sizes)) if matrix[i][j] > 0), reverse=True))
-                got = _small_gallai(a, sub)
-                if got is None:
-                    witnesses = None
-                    break
-                witnesses.append(got)
-            if witnesses is None:
-                continue
-            arr = np.full(total_edges(n_verts), comp_color, dtype=np.int32)
-            off = 0
-            for j, a in enumerate(cliques):
-                w = witnesses[j]
-                cmap = _relabel(
-                    np.bincount(w)[1:].tolist(),
-                    [(matrix[i][j], i) for i in range(len(sizes)) if matrix[i][j] > 0],
-                )
-                table = np.array([0] + [colors[cmap[col]] for col in range(1, len(cmap) + 1)])
-                # The clique's colex order is its strict lower triangle, row by row.
-                v, u = np.tril_indices(a, -1)
-                arr[(v + off) * (v + off - 1) // 2 + u + off] = table[w]
-                off += a
-            return Coloring(n_verts, arr)
-    return None
-
-
 def construct_k4_base(d: Distribution) -> Coloring:
-    """Any 4-part distribution of K_8.
+    """Any 4-part distribution of K_8, through ``oracle.search_realizable``.
 
-    Values 7, 6, 5 are eliminated by star extensions over smaller complete
-    graphs; otherwise the small classes are packed into disjoint cliques
-    whose complement carries the largest class.  A star-partition search
-    and the exhaustive oracle remain as fallbacks.
+    A special coloring from star search when one exists (136 of the 169),
+    else the witness the oracle rebuilds from its Gallai-substitution table,
+    which holds every count vector of K_8.  g(4) = 8 makes all 169
+    realizable.
     """
     if d.n != 8 or d.k != 4:
         raise PreconditionViolated(f"need a 4-part distribution on K_8, got {d}")
@@ -619,80 +520,11 @@ def construct_k4_base(d: Distribution) -> Coloring:
 
 
 def _k4_base(d: Distribution) -> Coloring:
-    """Unchecked K_8 base; a schedule with the wrong class sizes falls through."""
-    try:
-        c = _k4_schedule(d)
-        if c is not None and verify.class_sizes(c) == d:
-            return c
-    except (InternalScheduleError, PreconditionViolated, PeelImpossible):
-        pass
-    sp = star_partition_for(d)
-    if sp is not None:
-        return special_coloring(sp)
-    arr = _small_gallai(8, d.sizes)
-    if arr is None:
+    """Unchecked K_8 base: the oracle's star partition, else its table witness."""
+    verdict = oracle.search_realizable(d)
+    if verdict.witness is None:
         raise InternalScheduleError(f"no coloring found for {d} (expected total)")
-    return Coloring(8, arr)
-
-
-def _k4_schedule(d: Distribution) -> Optional[Coloring]:
-    sizes = list(d.sizes)
-
-    def finish(inner_n: int, slots: list[int], steps: list[int]) -> Coloring:
-        """Realize the reduced slot sizes on K_inner_n, then re-attach stars.
-
-        ``steps`` lists the slot receiving each star for inner_n, inner_n+1,
-        ... edges in turn, i.e. a peel log read backwards.
-        """
-        inner = canonicalize([s for s in slots if s > 0], inner_n)
-        return replay_peel(_construct_guaranteed(inner), d, steps[::-1])
-
-    if 7 in sizes:
-        s7 = sizes.index(7)
-        slots = sizes.copy()
-        slots[s7] = 0
-        return finish(7, slots, [s7])
-    if 6 in sizes:
-        s6 = sizes.index(6)
-        slots = sizes.copy()
-        slots[s6] = 0
-        slots[0] -= 7
-        if slots[0] < 1:
-            raise InternalScheduleError(f"largest class too small for the 6-case: {d}")
-        return finish(6, slots, [s6, 0])
-    if 5 in sizes:
-        s5 = sizes.index(5)
-        slots = sizes.copy()
-        slots[s5] = 0
-        if sizes[0] >= 13:
-            slots[0] -= 13
-            steps = [s5, 0, 0]
-        else:
-            if sizes[1] < 8:
-                raise InternalScheduleError(f"no big second class for the 5-case: {d}")
-            slots[0] -= 7
-            slots[1] -= 6
-            steps = [s5, 1, 0]
-        return finish(5, slots, steps)
-
-    bigs = [i for i, s in enumerate(sizes) if s >= 8]
-    if bigs == [0]:
-        return _realize_on_cliques(8, [(i + 1, sizes[i]) for i in (1, 2, 3)], 1)
-    if bigs == [0, 1]:
-        inner = _realize_on_cliques(
-            7, [(2, sizes[1] - 7), (3, sizes[2]), (4, sizes[3])], 1
-        )
-        if inner is None:
-            return None
-        return _join_stars(inner, [2])
-    if bigs == [0, 1, 2]:
-        inner = _realize_on_cliques(
-            6, [(2, sizes[1] - 7), (3, sizes[2] - 6), (4, sizes[3])], 1
-        )
-        if inner is None:
-            return None
-        return _join_stars(inner, [3, 2])
-    raise InternalScheduleError(f"unexpected shape for a 4-part distribution of 28: {d}")
+    return verdict.witness
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +711,6 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
     if sp is not None:
         return _checked(special_coloring(sp), d)
     if n <= 8:
-        from . import oracle
-
         verdict = oracle.search_realizable(d)
         if verdict.is_feasible:
             assert verdict.witness is not None

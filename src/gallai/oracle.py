@@ -42,6 +42,7 @@ from .core import (
     BudgetExceeded,
     Coloring,
     Distribution,
+    PreconditionViolated,
     Verdict,
     canonicalize,
     total_edges,
@@ -414,14 +415,13 @@ def search_realizable(
     *,
     max_nodes: Optional[int] = None,
     max_ms: Optional[int] = None,
-    jobs: int = 1,
 ) -> Verdict:
     """Decide whether any rainbow-free coloring realizes d.
 
     feasible comes with a verified witness; infeasible means no count
     vector of K_n matches; unknown means a budget was hit.  Meant for small
     n: the table for K_n holds every realizable count vector of every
-    smaller clique.  ``jobs`` is deprecated and ignored.
+    smaller clique.
     """
     ok, _ = verify.check_necessary(d)
     if not ok:
@@ -488,12 +488,8 @@ def enumerate_realizable(
     *,
     max_nodes: Optional[int] = None,
     max_ms: Optional[int] = None,
-    jobs: int = 1,
 ) -> EnumerationResult:
-    """Classify every k-part distribution of the edges of K_n.
-
-    ``jobs`` is deprecated and ignored.
-    """
+    """Classify every k-part distribution of the edges of K_n."""
     out = []
     for sizes in partitions(total_edges(n), k):
         d = canonicalize(sizes, n)
@@ -507,17 +503,15 @@ def compute_g(
     *,
     max_nodes: Optional[int] = None,
     max_ms: Optional[int] = None,
-    jobs: int = 1,
 ) -> Optional[int]:
     """Smallest n <= n_max where every k-part distribution is realizable.
 
     Thanks to the monotone star-extension property, the first fully
     feasible n is the threshold itself.  Returns None (unknown) when a
-    budget prevents classification or n_max is exhausted.  ``jobs`` is
-    deprecated and ignored.
+    budget prevents classification or n_max is exhausted.
     """
     if k < 3:
-        raise ValueError("the threshold is only defined for k >= 3")
+        raise PreconditionViolated(f"the threshold is only defined for k >= 3, got k={k}")
     for n in range(max(2, 2 * k - 2), n_max + 1):
         result = enumerate_realizable(n, k, max_nodes=max_nodes, max_ms=max_ms)
         if result.infeasible:

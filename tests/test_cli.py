@@ -159,6 +159,11 @@ class TestEnumerateAndG:
         code, stdout, _ = run(capsys, "compute-g", "--k", "3", "--n-max", "4")
         assert code == 3 and stdout.strip() == "unknown"
 
+    def test_compute_g_small_k_is_usage_error(self, capsys):
+        code, stdout, stderr = run(capsys, "compute-g", "--k", "2", "--n-max", "5")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: the threshold is only defined for k >= 3, got k=2\n"
+
 
 class TestRandomAndDot:
     def test_random_deterministic(self, tmp_path, capsys):
@@ -208,6 +213,6 @@ def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
     args = _parser().parse_args(["enumerate", "--n", "4", "--k", "3"])
     assert vars(args) == {
         "command": "enumerate", "n": 4, "k": 3, "budget_nodes": None, "budget_ms": None,
-        "jobs": 1, "func": args.func,
+        "func": args.func,
     }
     assert _parser() is _parser()

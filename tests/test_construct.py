@@ -373,18 +373,40 @@ class TestK4Base:
         verified(c, [7, 7, 7, 7])
 
     def test_tricky_reduced_instances(self):
-        # These hit the clique-layout hole on seven vertices and fall through
-        # to alternative layouts or the star-partition fallback.
+        # (12,12,2,2) has no star partition, so the oracle's table builds it;
+        # the other four are special colorings from star search.
         for sizes in ([13, 12, 2, 1], [13, 11, 3, 1], [12, 12, 2, 2], [8, 8, 6, 6], [13, 5, 5, 5]):
             c = construct_k4_base(canonicalize(sizes, 8))
             verified(c, sizes)
 
     def test_all_partitions(self):
+        # Special exactly when star search finds a partition; otherwise the
+        # coloring is the oracle's table witness.
         from gallai.oracle import partitions
 
+        star = 0
         for sizes in partitions(28, 4):
-            c = construct_k4_base(canonicalize(sizes, 8))
+            d = canonicalize(sizes, 8)
+            c = construct_k4_base(d)
             verified(c, sizes)
+            found = star_partition_for(d) is not None
+            assert is_special_coloring(c) == found, sizes
+            star += found
+        assert star == 136
+
+    def test_every_k9_distribution_over_the_base(self):
+        # 43 of the 351 peel to a K_8 base without a star partition, so
+        # replay_peel re-attaches stars to a table witness.
+        from gallai.oracle import partitions
+
+        table_bases = 0
+        for sizes in partitions(36, 4):
+            d = canonicalize(sizes, 9)
+            c = construct_any(d)
+            assert isinstance(c, Coloring), sizes
+            verified(c, sizes)
+            table_bases += not is_special_coloring(c)
+        assert table_bases == 43
 
 
 class TestGkGeneral:
@@ -570,7 +592,7 @@ class TestWorkCounts:
         d215 = canonicalize((d205.sizes[0] + sum(range(205, 215)),) + d205.sizes[1:], 215)
         counts = []
         for d in (d205, d215):
-            construct_any(d)  # fills the process-wide K_8 base memo
+            construct_any(d)  # pays first-call costs, such as the oracle's table
             c, calls = self._counted(monkeypatch, lambda: construct_any(d))
             verified(c, d.sizes)
             counts.append(calls)
