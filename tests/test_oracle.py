@@ -135,15 +135,21 @@ class TestWitnessCheck:
     # Rainbow-free (one color) but with the wrong class sizes.
     WRONG_SIZES = (1,) * 15
 
+    # calls=1 builds the table inside the request; calls=2 also answers a
+    # second request from the table the first one left cached.
+    @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("colors", [RAINBOW, WRONG_SIZES])
-    def test_bad_backtrack_witness_is_refused(self, monkeypatch, colors):
+    def test_bad_backtrack_witness_is_refused(self, monkeypatch, calls, colors):
         from gallai import oracle
         from gallai.core import Coloring, InternalScheduleError
 
         assert class_sizes(Coloring(6, self.RAINBOW)) == self.D
+        monkeypatch.setattr(oracle, "_TABLES", {})
         monkeypatch.setattr(oracle, "_rebuild", lambda *args: list(colors))
-        with pytest.raises(InternalScheduleError):
-            search_realizable(self.D)
+        for _ in range(calls):
+            with pytest.raises(InternalScheduleError):
+                search_realizable(self.D)
+        assert 4 in oracle._TABLES
 
 
 class TestStructural:
