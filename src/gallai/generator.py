@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .core import Coloring, PreconditionViolated, total_edges
+from .core import Coloring, PreconditionViolated
 
 
 def random_gallai(
@@ -23,44 +23,50 @@ def random_gallai(
 
     The recorded block structure is the outermost substitution step (useful
     to cross-check decomposition extraction); unused color ids are
-    compacted so the result uses colors 1..k.
+    compacted so the result uses colors 1..k, in the order of the drawn ids.
+
+    Every block is a contiguous vertex range: the cuts split a range into
+    consecutive ranges, and recursion only splits those further.  So the
+    edges between two blocks are exactly one rectangle of the strict lower
+    triangle of an n x n matrix, and each block pair is filled by one slice
+    assignment.
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
     if max_colors < 1:
         raise PreconditionViolated(f"need max_colors >= 1, got {max_colors}")
     rng = random.Random(seed)
-    arr = [0] * total_edges(n)
-    top_blocks = _fill(arr, list(range(n)), rng, max_colors)
-    _, compact = np.unique(arr, return_inverse=True)
-    coloring = Coloring(n, compact + 1)
-    return coloring, tuple(tuple(b) for b in top_blocks)
+    mat = np.zeros((n, n), dtype=np.int32)
+    # Drawn color id -> the small id written into ``mat``, in order of first
+    # use, so the table below stays small for any max_colors.
+    slots: dict[int, int] = {}
+    top_blocks = _fill(mat, 0, n, rng, max_colors, slots)
+    rank = np.zeros(len(slots) + 1, dtype=np.int32)
+    rank[[slots[color] for color in sorted(slots)]] = np.arange(1, len(slots) + 1)
+    coloring = Coloring(n, rank[mat[np.tri(n, k=-1, dtype=bool)]])
+    return coloring, tuple(tuple(range(lo, hi)) for lo, hi in top_blocks)
 
 
 def _fill(
-    arr: list[int], vertices: list[int], rng: random.Random, max_colors: int
-) -> list[list[int]]:
-    size = len(vertices)
+    mat: np.ndarray, lo: int, hi: int, rng: random.Random, max_colors: int,
+    slots: dict[int, int],
+) -> list[tuple[int, int]]:
+    """Color the edges inside vertices lo..hi-1; return the blocks as ranges."""
+    size = hi - lo
     if size < 2:
-        return [vertices] if vertices else []
+        return [(lo, hi)] if size else []
     m = rng.randint(2, min(size, 5))
     cuts = sorted(rng.sample(range(1, size), m - 1))
-    blocks = []
-    prev = 0
-    for cut in cuts + [size]:
-        blocks.append(vertices[prev:cut])
-        prev = cut
+    bounds = [lo] + [lo + cut for cut in cuts] + [hi]
+    blocks = list(zip(bounds, bounds[1:]))
     if max_colors == 1 or rng.random() < 0.25:
         palette = [rng.randint(1, max_colors)]
     else:
         palette = rng.sample(range(1, max_colors + 1), 2)
-    for bi in range(m):
-        for bj in range(bi + 1, m):
+    for bi, (a0, a1) in enumerate(blocks):
+        for b0, b1 in blocks[bi + 1 :]:
             color = palette[0] if len(palette) == 1 else rng.choice(palette)
-            for u in blocks[bi]:
-                for v in blocks[bj]:
-                    lo, hi = (u, v) if u < v else (v, u)
-                    arr[hi * (hi - 1) // 2 + lo] = color
+            mat[b0:b1, a0:a1] = slots.setdefault(color, len(slots) + 1)
     for block in blocks:
-        _fill(arr, block, rng, max_colors)
+        _fill(mat, *block, rng, max_colors, slots)
     return blocks

@@ -435,7 +435,7 @@ def search_realizable(
     except BudgetExceeded:
         sp = None
     if sp is not None:
-        witness = construct.special_coloring(sp)
+        witness = construct._checked(construct.special_coloring(sp), d, special=True)
         return Verdict("feasible", witness, 0)
 
     tag, colors, nodes = _structural(d.n, d.sizes, max_nodes, deadline)

@@ -41,8 +41,9 @@ def _color_matrix(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 def _row_starts(n: int) -> np.ndarray:
-    """Colex offset v(v-1)/2 of the down-row of each vertex v = 1..n-1."""
-    return np.arange(1, n) * np.arange(n - 1) // 2
+    """Colex offset v(v-1)/2 = 0 + 1 + ... + (v-1) of the down-row of each
+    vertex v = 1..n-1."""
+    return np.arange(n - 1).cumsum()
 
 
 def _mixed_rows(c: Coloring) -> np.ndarray:
@@ -64,8 +65,17 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     lies inside 0..s-1, whose edges are the colex prefix of length
     s(s-1)/2, and scanning only that prefix returns the same witness as a
     scan of all of K_n.  Finding s is O(E) with two ``reduceat`` passes; a
-    special coloring has s <= 2 and is not scanned at all.  The scan is
-    O(s^3), vectorized row by row against one strict upper-triangular mask.
+    special coloring has s <= 2 and is not scanned at all.
+
+    The scan is O(s^3), vectorized row by row on a color matrix of the
+    narrowest unsigned dtype that holds k.  For the row of u, ``bad[i, j]``
+    says that (u, v, w) with v = u+1+i, w = u+1+j is rainbow.  It is
+    symmetric in (i, j), since the color matrix is, and false on the
+    diagonal, where a[i] != a[j] fails.  So if (i, j) is a hit with i > j,
+    then (j, i) is a hit too and comes first in row-major order: the first
+    row-major hit has v < w, and as row-major order on i < j is the
+    lexicographic order of (v, w), it is the lexicographically first witness
+    with smallest vertex u.  No triangular mask is needed.
     """
     if c.n < 3 or c.k < 3:
         return None
@@ -73,14 +83,13 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     if mixed.size == 0:
         return None
     s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
-    mat = _color_matrix(c.colex_colors()[: s * (s - 1) // 2], s)
-    upper = np.triu(np.ones((s - 1, s - 1), dtype=bool), k=1)
+    dtype = np.min_scalar_type(c.k)  # uint8 for k < 256, then uint16, uint32
+    mat = _color_matrix(c.colex_colors()[: s * (s - 1) // 2].astype(dtype), s)
     for u in range(s - 2):
         m = s - u - 1
         a = mat[u, u + 1 :]
         sub = mat[u + 1 :, u + 1 :]
         bad = (a[:, None] != a[None, :]) & (a[:, None] != sub) & (a[None, :] != sub)
-        bad &= upper[u:, u:]
         hits = np.flatnonzero(bad)
         if hits.size:
             h = int(hits[0])

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gallai.core import PreconditionViolated
+from gallai.core import PreconditionViolated, serialize
 from gallai.generator import random_gallai
 from gallai.verify import check_necessary, class_sizes, is_gallai, top_l_cover
 
@@ -78,3 +80,114 @@ class TestInvariants:
             assert total >= sum(n - j for j in range(1, ell + 1))
         ok, _ = check_necessary(class_sizes(c))
         assert ok
+
+
+# sha256 of serialize(coloring), first 16 hex digits, and the sizes of the
+# top blocks (each a contiguous vertex range from 0 up), recorded for every
+# (n, seed, max_colors) of the grid below.  Any change to the order of the
+# draws from the seeded generator, or to how the draws become colors, fails
+# this test.
+STREAM_PIN = {
+    (1, 0, 1): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 0, 2): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 0, 5): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 0, 12): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 7, 1): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 7, 2): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 7, 5): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 7, 12): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 2024, 1): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 2024, 2): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 2024, 5): ('f4a8ae8e74ddfb89', (1,)),
+    (1, 2024, 12): ('f4a8ae8e74ddfb89', (1,)),
+    (2, 0, 1): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 0, 2): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 0, 5): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 0, 12): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 7, 1): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 7, 2): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 7, 5): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 7, 12): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 2024, 1): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 2024, 2): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 2024, 5): ('0a2fedbdb259fed7', (1, 1)),
+    (2, 2024, 12): ('0a2fedbdb259fed7', (1, 1)),
+    (3, 0, 1): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 0, 2): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 0, 5): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 0, 12): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 7, 1): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 7, 2): ('89ab729b2106fd1f', (1, 1, 1)),
+    (3, 7, 5): ('89ab729b2106fd1f', (1, 1, 1)),
+    (3, 7, 12): ('53b3fdb93fd265de', (1, 1, 1)),
+    (3, 2024, 1): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 2024, 2): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 2024, 5): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (3, 2024, 12): ('bc482bd12f9bf7ff', (1, 1, 1)),
+    (7, 0, 1): ('3fed3a2a50f51dc0', (1, 2, 1, 2, 1)),
+    (7, 0, 2): ('93f2a02b57b6114a', (1, 2, 1, 2, 1)),
+    (7, 0, 5): ('0e69a3d425fe9abf', (1, 2, 1, 2, 1)),
+    (7, 0, 12): ('362ff223714f9174', (1, 2, 1, 2, 1)),
+    (7, 7, 1): ('3fed3a2a50f51dc0', (1, 1, 2, 3)),
+    (7, 7, 2): ('d182c582906fa932', (1, 1, 2, 3)),
+    (7, 7, 5): ('ec2520100271d592', (1, 1, 2, 3)),
+    (7, 7, 12): ('7e75f9ccf1a88681', (1, 1, 2, 3)),
+    (7, 2024, 1): ('3fed3a2a50f51dc0', (1, 1, 1, 2, 2)),
+    (7, 2024, 2): ('fd56438e34fae24b', (1, 1, 1, 2, 2)),
+    (7, 2024, 5): ('324f2f4e0a89376e', (1, 1, 1, 2, 2)),
+    (7, 2024, 12): ('b10cd734659d58b0', (1, 1, 1, 2, 2)),
+    (20, 0, 1): ('b8858a21fbc72b34', (2, 7, 5, 2, 4)),
+    (20, 0, 2): ('0b899e4a35bd2eb3', (2, 7, 5, 2, 4)),
+    (20, 0, 5): ('7ec3508fb35cdcc1', (2, 7, 5, 2, 4)),
+    (20, 0, 12): ('beb6a7b692f07bcd', (2, 7, 5, 2, 4)),
+    (20, 7, 1): ('b8858a21fbc72b34', (2, 3, 8, 7)),
+    (20, 7, 2): ('5cc10ce0dcbf7cc8', (2, 3, 8, 7)),
+    (20, 7, 5): ('844a78f29c613da6', (2, 3, 8, 7)),
+    (20, 7, 12): ('2dd0790c12f234ec', (2, 3, 8, 7)),
+    (20, 2024, 1): ('b8858a21fbc72b34', (6, 1, 3, 4, 6)),
+    (20, 2024, 2): ('eea0bd2c8c409da5', (6, 1, 3, 4, 6)),
+    (20, 2024, 5): ('50d64b6dfa390091', (6, 1, 3, 4, 6)),
+    (20, 2024, 12): ('81e12425a42d06fd', (6, 1, 3, 4, 6)),
+    (57, 0, 1): ('bca11bdb81fefbea', (3, 14, 10, 22, 8)),
+    (57, 0, 2): ('c05488b4bcd44fe2', (3, 14, 10, 22, 8)),
+    (57, 0, 5): ('fd35f282e7c9af7e', (3, 14, 10, 22, 8)),
+    (57, 0, 12): ('8c0cb4f70c431189', (3, 14, 10, 22, 8)),
+    (57, 7, 1): ('bca11bdb81fefbea', (10, 16, 16, 15)),
+    (57, 7, 2): ('251ecc03c4fe8248', (10, 16, 16, 15)),
+    (57, 7, 5): ('e85f1e11c4861d92', (10, 16, 16, 15)),
+    (57, 7, 12): ('1679e248663fc9e1', (10, 16, 16, 15)),
+    (57, 2024, 1): ('bca11bdb81fefbea', (12, 8, 18, 9, 10)),
+    (57, 2024, 2): ('a8c241b53b7ebd24', (12, 8, 18, 9, 10)),
+    (57, 2024, 5): ('77679d442274fa90', (12, 8, 18, 9, 10)),
+    (57, 2024, 12): ('31381124c6953859', (12, 8, 18, 9, 10)),
+    (120, 0, 1): ('2e885a836313a4cb', (6, 48, 44, 16, 6)),
+    (120, 0, 2): ('5b01d64ad0b3c9e1', (6, 48, 44, 16, 6)),
+    (120, 0, 5): ('f1f506f9c1b955ec', (6, 48, 44, 16, 6)),
+    (120, 0, 12): ('8855fd5ac725d0ee', (6, 48, 44, 16, 6)),
+    (120, 7, 1): ('2e885a836313a4cb', (20, 31, 33, 36)),
+    (120, 7, 2): ('6837b804d474f038', (20, 31, 33, 36)),
+    (120, 7, 5): ('8df7053e0cd14912', (20, 31, 33, 36)),
+    (120, 7, 12): ('4094810122336eb9', (20, 31, 33, 36)),
+    (120, 2024, 1): ('2e885a836313a4cb', (24, 15, 36, 19, 26)),
+    (120, 2024, 2): ('02b04cfd592b6fa4', (24, 15, 36, 19, 26)),
+    (120, 2024, 5): ('2c458a1403b7c35c', (24, 15, 36, 19, 26)),
+    (120, 2024, 12): ('8474879354a92925', (24, 15, 36, 19, 26)),
+}
+
+
+class TestStreamPin:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 57, 120])
+    def test_outputs_are_pinned(self, n):
+        for seed in (0, 7, 2024):
+            for mc in (1, 2, 5, 12):
+                c, blocks = random_gallai(n, seed, mc)
+                digest = hashlib.sha256(serialize(c).encode()).hexdigest()[:16]
+                assert [v for b in blocks for v in b] == list(range(n))
+                assert (digest, tuple(len(b) for b in blocks)) == STREAM_PIN[n, seed, mc]
+
+    def test_huge_max_colors(self):
+        # Colors drawn from 1..10^12 are compacted through a table of the
+        # colors actually drawn, not one entry per possible color id.
+        c, blocks = random_gallai(30, 1, 10**12)
+        digest = hashlib.sha256(serialize(c).encode()).hexdigest()[:16]
+        assert (c.k, digest, tuple(len(b) for b in blocks)) == (23, "b21a8e1ee9c1cd2f", (19, 9, 2))

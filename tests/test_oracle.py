@@ -151,6 +151,23 @@ class TestWitnessCheck:
                 search_realizable(self.D)
         assert 4 in oracle._TABLES
 
+    # (5,4,3,3) on K_6 has a star partition, so star search answers it.
+    STAR_D = canonicalize([5, 4, 3, 3], 6)
+    # Its special coloring with edges (0,4) and (1,4) swapped: the class
+    # sizes are still (5,4,3,3), but vertex 4 sees two colors below it.
+    NOT_SPECIAL = (4, 4, 4, 3, 3, 3, 1, 2, 2, 2, 2, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("colors", [NOT_SPECIAL, WRONG_SIZES])
+    def test_bad_star_witness_is_refused(self, monkeypatch, colors):
+        from gallai import construct
+        from gallai.core import Coloring, InternalScheduleError
+
+        assert construct.star_partition_for(self.STAR_D) is not None
+        assert class_sizes(Coloring(6, self.NOT_SPECIAL)) == self.STAR_D
+        monkeypatch.setattr(construct, "special_coloring", lambda sp: Coloring(6, colors))
+        with pytest.raises(InternalScheduleError):
+            search_realizable(self.STAR_D)
+
 
 class TestStructural:
     """The substitution table against the backtracker, and its budgets."""

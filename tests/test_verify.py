@@ -1,13 +1,25 @@
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gallai.core import Coloring, NotFound, NotGallai, PreconditionViolated, canonicalize, total_edges
+from gallai.core import (
+    Coloring,
+    NotFound,
+    NotGallai,
+    PreconditionViolated,
+    canonicalize,
+    edge_index,
+    total_edges,
+)
 from gallai.construct import extend_by_star, special_coloring, _lex_fill
 from gallai.core import StarPartition, star_partition
 from gallai.generator import random_gallai
 from gallai.verify import (
+    _color_matrix,
+    _mixed_rows,
     check_necessary,
     class_sizes,
     find_gallai_partition,
@@ -228,6 +240,58 @@ class TestSpecialAgainstRowLoop:
     def test_matches_the_row_loop(self, c):
         assert is_special_coloring(c) == _loop_is_special(c)
         assert star_partition_of(c) == _loop_star_partition(c)
+
+
+def _int32_rainbow_witness(c: Coloring):
+    """The scan ``rainbow_witness`` had before its color matrix was narrowed
+    to the dtype of k and its strict upper-triangular mask was dropped;
+    kept as its reference."""
+    if c.n < 3 or c.k < 3:
+        return None
+    mixed = _mixed_rows(c)
+    if mixed.size == 0:
+        return None
+    s = int(mixed[-1]) + 1
+    mat = _color_matrix(c.colex_colors()[: s * (s - 1) // 2], s)
+    upper = np.triu(np.ones((s - 1, s - 1), dtype=bool), k=1)
+    for u in range(s - 2):
+        m = s - u - 1
+        a = mat[u, u + 1 :]
+        sub = mat[u + 1 :, u + 1 :]
+        bad = (a[:, None] != a[None, :]) & (a[:, None] != sub) & (a[None, :] != sub)
+        bad &= upper[u:, u:]
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            h = int(hits[0])
+            return (u, u + 1 + h // m, u + 1 + h % m)
+    return None
+
+
+class TestRainbowAgainstInt32Scan:
+    @pytest.mark.parametrize("n", range(20, 61))
+    def test_generator_output_with_one_fresh_edge(self, n):
+        # Arbitrary colorings almost always break at u = 0; a rainbow-free
+        # coloring with one edge moved to a fresh color can break late.
+        rng = random.Random(n)
+        for seed in range(3):
+            arr = random_gallai(n, seed, 4)[0].colex_colors().tolist()
+            for _ in range(3):
+                moved = list(arr)
+                moved[rng.randrange(len(moved))] = max(arr) + 1
+                c = Coloring(n, compact_colors(moved))
+                assert rainbow_witness(c) == _int32_rainbow_witness(c)
+
+    def test_more_than_255_colors(self):
+        # One star per vertex: vertex v has color 260 - v below it.  Edge
+        # (255, 256) moves to color 260, so (0, 255, 256) is the first
+        # rainbow triangle.  Reduced mod 256, 260 would equal the color 4
+        # of vertex 256 and hide it.
+        c = special(260, [(v,) for v in range(259, 0, -1)])
+        arr = c.colex_colors().copy()
+        arr[edge_index(255, 256)] = c.k + 1
+        c = Coloring(260, arr)
+        assert c.k == 260
+        assert rainbow_witness(c) == _int32_rainbow_witness(c) == (0, 255, 256)
 
 
 class TestGallaiPartition:
