@@ -1,7 +1,8 @@
 """Command-line surface for constructing, verifying and deciding colorings.
 
 Exit codes are the machine contract: 0 success/feasible, 1 infeasible or not
-constructed, 2 usage error, 3 unknown (budget exceeded).
+constructed, 2 usage error, 3 unknown (budget exceeded, or an internal check
+failed so no answer was reached).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .core import (
     Coloring,
     GallaiError,
     DivisionParams,
+    InternalScheduleError,
     ParseError,
     PreconditionViolated,
     canonicalize,
@@ -257,6 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalScheduleError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (GallaiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

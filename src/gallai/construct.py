@@ -711,10 +711,11 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
     if sp is not None:
         return _checked(special_coloring(sp), d)
     if n <= 8:
-        verdict = oracle.search_realizable(d)
-        if verdict.is_feasible:
-            assert verdict.witness is not None
-            return _checked(verdict.witness, d)
+        # Star search has just failed, so only the oracle's table step is
+        # left; it certifies its witness.
+        verdict = oracle._table_verdict(d, None, None)
+        if verdict.witness is not None:
+            return verdict.witness
         if verdict.is_infeasible:
             return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
         return NotConstructed("unknown", "exhaustive search hit its budget")

@@ -8,6 +8,7 @@ makes star-shaped updates cheap.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -398,15 +399,20 @@ class Verdict:
 # Serialization
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _lex_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges (u, v), u < v, of K_n in lexicographic order: the arrays u
     and v and each edge's colex index v(v-1)/2 + u.
 
     u and v are int32 to keep the temporaries small; the index is int64
-    because v(v-1) leaves the int32 range for n above 46,342.
+    because v(v-1) leaves the int32 range for n above 46,342.  Kept for the
+    last n asked, so the arrays are read-only.
     """
     u, v = (a.astype(np.int32) for a in np.triu_indices(n, 1))
-    return u, v, v.astype(np.int64) * (v - 1) // 2 + u
+    out = u, v, v.astype(np.int64) * (v - 1) // 2 + u
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _lex_edges(c: Coloring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,18 +454,62 @@ def _text_bytes(n: int, k: int, u: np.ndarray, v: np.ndarray, colors: np.ndarray
 # measured between backtracking searches on 2 vCPUs).
 _VECTOR_MIN_N = 20
 
+# The kept layout: (n, a canonical text of K_n with k <= 9, the offsets of
+# its color bytes or None until first reuse), or None before the first.
+# With one-digit colors every such text of K_n has the same length and
+# differs from the kept one only in the header's k digit and the color
+# bytes.  Replaced by one assignment, so a concurrent caller sees either the
+# old layout or the new one.
+_TEXT_SLOT: Optional[tuple[int, bytes, Optional[np.ndarray]]] = None
+
+
+def _kept_layout(n: int) -> Optional[tuple[bytes, np.ndarray]]:
+    """The kept text of K_n and its color-byte offsets, or None."""
+    global _TEXT_SLOT
+    slot = _TEXT_SLOT
+    if slot is None or slot[0] != n:
+        return None
+    _, text, offsets = slot
+    if offsets is None:
+        offsets = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))[1:] - 1
+        offsets.flags.writeable = False
+        _TEXT_SLOT = (n, text, offsets)
+    return text, offsets
+
+
+def _fill_layout(n: int, k: int, text: bytes, offsets: np.ndarray, colors: np.ndarray) -> bytearray:
+    """A copy of the kept ``text`` with header k and one-digit ``colors``
+    (in 1..9, lexicographic edge order) written in."""
+    out = bytearray(text)
+    cells = np.frombuffer(out, dtype=np.uint8)
+    cells[len(str(n)) + 1] = ord("0") + k
+    cells[offsets] = colors.astype(np.uint8, copy=False) + ord("0")
+    return out
+
 
 def serialize(c: Coloring) -> str:
     """Text format: header "n k", then one line "u v c" per edge.
 
     Edges appear in lexicographic order of (u, v); every line ends with LF.
     Numbers are written in plain decimal, separated by one space.
+
+    From K_20 up with k <= 9, the text of the last such K_n written or read
+    is kept (``_TEXT_SLOT``: one text plus one offset per edge), so the
+    next text of that K_n is a copy with the colors written in.
     """
-    if c.n < _VECTOR_MIN_N:
-        lines = [f"{c.n} {c.k}"]
+    global _TEXT_SLOT
+    n, k = c.n, c.k
+    if n < _VECTOR_MIN_N:
+        lines = [f"{n} {k}"]
         lines.extend(f"{u} {v} {col}" for u, v, col in c.edges())
         return "\n".join(lines) + "\n"
-    return _text_bytes(c.n, c.k, *_lex_edges(c)).decode("ascii")
+    kept = _kept_layout(n) if k <= 9 else None
+    if kept is not None:
+        return _fill_layout(n, k, *kept, _lex_edges(c)[2]).decode("ascii")
+    raw = _text_bytes(n, k, *_lex_edges(c))
+    if k <= 9:
+        _TEXT_SLOT = (n, raw, None)
+    return raw.decode("ascii")
 
 
 def _coloring_from_entries(
@@ -531,8 +581,12 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     from (n, k, colors) and must come out byte for byte the same, which
     proves that every other token is what the line-by-line reader would
     have read.  The line count is compared with n(n-1)/2 before anything
-    sized by n is allocated.
+    sized by n is allocated.  A text of the K_n whose layout ``serialize``
+    keeps, with k <= 9 and the kept length, is read at the kept color
+    offsets and written again by the same fill as ``serialize``; an
+    accepted text from K_20 up with k <= 9 becomes the kept layout.
     """
+    global _TEXT_SLOT
     if not text.isascii():
         return None
     try:
@@ -540,26 +594,39 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     except ValueError:
         return None
     edges = total_edges(n)
-    if n < 1 or not 0 <= k <= edges or text.count("\n") != edges + 1:
-        return None
-    raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))[1:]
-    # The color is the run of digits before each LF; any other spelling of
-    # the line fails the comparison below.
-    colors = np.zeros(edges, dtype=np.int64)
-    digit = np.ones(edges, dtype=bool)
-    for place in range(len(str(k))):
-        value = buf[ends - 1 - place].astype(np.int64) - ord("0")
-        digit &= (value >= 0) & (value <= 9)
-        colors += np.where(digit, value, 0) * 10**place
-    if edges and not (1 <= colors.min() and colors.max() <= k):
-        return None
-    u, v, at = _lex_order(n)
-    if _text_bytes(n, k, u, v, colors) != raw:
-        return None
+    kept = _kept_layout(n) if k <= 9 else None
+    if kept is not None and len(kept[0]) == len(text):
+        raw = text.encode("ascii")
+        colors = np.frombuffer(raw, dtype=np.uint8)[kept[1]] - np.uint8(ord("0"))
+        # Bytes below "0" wrap above 9, so this range check refuses them.
+        if not (1 <= colors.min() and colors.max() <= k):
+            return None
+        if _fill_layout(n, k, *kept, colors) != raw:
+            return None
+    else:
+        if n < 1 or not 0 <= k <= edges or text.count("\n") != edges + 1:
+            return None
+        raw = text.encode("ascii")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        last = np.flatnonzero(buf == ord("\n"))[1:] - 1
+        # The color is the run of digits before each LF; any other spelling
+        # of the line fails the comparison below.
+        colors = np.zeros(edges, dtype=np.int64)
+        digit = np.ones(edges, dtype=bool)
+        for place in range(len(str(k))):
+            value = buf[last - place].astype(np.int64) - ord("0")
+            digit &= (value >= 0) & (value <= 9)
+            colors += np.where(digit, value, 0) * 10**place
+        if edges and not (1 <= colors.min() and colors.max() <= k):
+            return None
+        u, v, _ = _lex_order(n)
+        if _text_bytes(n, k, u, v, colors) != raw:
+            return None
+        if n >= _VECTOR_MIN_N and k <= 9:
+            last.flags.writeable = False
+            _TEXT_SLOT = (n, raw, last)
     colex = np.empty(edges, dtype=np.int32)
-    colex[at] = colors
+    colex[_lex_order(n)[2]] = colors
     return Coloring(n, colex, k=k)
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from gallai import construct, oracle
 from gallai.cli import main
-from gallai.core import deserialize
+from gallai.core import InternalScheduleError, deserialize
 from gallai.verify import class_sizes, is_gallai
 
 
@@ -34,6 +35,17 @@ class TestConstruct:
         code, _, stderr = run(capsys, "construct", "--n", "4", "--dist", "4,4,4")
         assert code == 2
         assert "error" in stderr
+
+
+    def test_internal_error_is_unknown(self, monkeypatch, capsys):
+        def broken(d, stats=None):
+            raise InternalScheduleError("schedule broke")
+
+        monkeypatch.setattr(construct, "_construct_guaranteed", broken)
+        code, stdout, stderr = run(capsys, "construct", "--n", "5", "--dist", "6,2,2")
+        assert code == 3
+        assert stdout == "distribution: 6,2,2 on K_5\n"
+        assert stderr == "internal error: schedule broke\n"
 
 
 class TestConstructDivBalanced:
@@ -137,6 +149,18 @@ class TestOracle:
             capsys, "oracle", "--n", "6", "--dist", "8,3,3,1", "--budget-nodes", "3"
         )
         assert code == 3 and "unknown" in stdout
+
+
+    def test_internal_error_is_unknown(self, monkeypatch, capsys):
+        def broken(*args):
+            raise InternalScheduleError("table witness broke")
+
+        monkeypatch.setattr(oracle, "_table_verdict", broken)
+        # No star partition realizes (8,3,3,1)/K_6, so the table step runs.
+        code, stdout, stderr = run(capsys, "oracle", "--n", "6", "--dist", "8,3,3,1")
+        assert code == 3
+        assert stdout == "distribution: 8,3,3,1 on K_6\n"
+        assert stderr == "internal error: table witness broke\n"
 
 
 class TestEnumerateAndG:

@@ -599,6 +599,25 @@ class TestWorkCounts:
         assert [calls["rainbow_witness"] for calls in counts] == [1, 1]
         assert counts[0]["Coloring"] == counts[1]["Coloring"]
 
+    def test_table_fallback_searches_and_certifies_once(self, monkeypatch):
+        # No star partition realizes (8,3,3,1)/K_6, so the oracle's table answers.
+        d = canonicalize([8, 3, 3, 1], 6)
+        assert star_partition_for(d) is None
+        stars = []
+        real_star = construct.star_partition_for
+
+        def star(*args, **kwargs):
+            stars.append(args)
+            return real_star(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "star_partition_for", star)
+        c, calls = self._counted(monkeypatch, lambda: construct_any(d))
+        assert len(stars) == 1
+        assert calls["rainbow_witness"] == 1
+        # The table witness construct_any returned when it asked search_realizable.
+        assert c == Coloring(6, [2, 2, 2, 3, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 4])
+        verified(c, d.sizes)
+
     @pytest.mark.parametrize("n", [5, 6, 9, 30])
     def test_replay_builds_one_coloring(self, monkeypatch, n):
         d = canonicalize(balanced_sizes(n, 3), n)

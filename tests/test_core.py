@@ -29,6 +29,7 @@ from gallai.core import (
     star_partition,
     total_edges,
 )
+from gallai import core
 from gallai.core import _lex_edges, _read_canonical, _read_lines, _text_bytes
 from gallai.generator import random_gallai
 
@@ -296,9 +297,85 @@ NON_CANONICAL = {
 }
 
 
+def _k_colored(n: int, k: int, seed: int) -> Coloring:
+    """A coloring of K_n (not necessarily rainbow-free) using all of 1..k."""
+    colors = np.arange(total_edges(n)) % k + 1
+    np.random.default_rng(seed).shuffle(colors)
+    return Coloring(n, colors)
+
+
+def _set_line(i: int, edit):
+    """A text mutation that rewrites line i (the header is line 0)."""
+    def mutate(text: str, k: int) -> str:
+        lines = text.split("\n")
+        lines[i] = edit(lines[i], k)
+        return "\n".join(lines)
+    return mutate
+
+
+def _join_lines(text: str, k: int) -> str:
+    """Lines 200 and 201 joined by a space in place of the LF."""
+    lines = text.split("\n")
+    lines[200:202] = [lines[200] + " " + lines[201]]
+    return "\n".join(lines)
+
+
+# Mutations that keep the length of a text of K_30 with one-digit colors, so
+# the reader takes the kept layout; line 200 is an edge line.
+SAME_LENGTH = {
+    "vertex digit": _set_line(200, lambda ln, k: ln[:-3] + str(int(ln[-3]) ^ 1) + ln[-2:]),
+    "first vertex digit": _set_line(1, lambda ln, k: "1" + ln[1:]),
+    "color 0": _set_line(200, lambda ln, k: ln[:-1] + "0"),
+    "color above k": _set_line(200, lambda ln, k: ln[:-1] + str(k + 1)),
+    "color letter": _set_line(200, lambda ln, k: ln[:-1] + "x"),
+    "color space": _set_line(200, lambda ln, k: ln[:-1] + " "),
+    "header k up": _set_line(0, lambda ln, k: ln[:-1] + str(k + 1)),
+    "header k down": _set_line(0, lambda ln, k: ln[:-1] + str(k - 1)),
+    "header k zero": _set_line(0, lambda ln, k: ln[:-1] + "0"),
+    "header n": _set_line(0, lambda ln, k: "31" + ln[2:]),
+    "tab": _set_line(200, lambda ln, k: ln.replace(" ", "\t", 1)),
+    "LF to space": _join_lines,
+}
+
+
 class TestVectorizedText:
     """``deserialize`` against ``_read_lines``, and ``serialize`` against the
     per-edge writer, which stay the references for the vectorized paths."""
+
+    @pytest.mark.parametrize("mutation", sorted(SAME_LENGTH))
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_kept_layout_refuses_what_the_line_reader_refuses(self, mutation, k):
+        c = _k_colored(30, k, seed=k)
+        text = serialize(c)
+        assert core._TEXT_SLOT[0] == 30
+        assert deserialize(text) == c
+        mutated = SAME_LENGTH[mutation](text, k)
+        assert len(mutated) == len(text) and mutated != text
+        assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
+        # The kept layout still reads its own K_n afterwards.
+        assert deserialize(text) == c
+
+    def test_writer_across_sizes_and_color_widths(self):
+        steps = [(20, 9), (20, 10), (20, 9), (45, 3), (20, 1), (20, 12), (45, 9),
+                 (45, 9), (20, 9), (45, 10), (45, 2)]
+        for seed, (n, k) in enumerate(steps):
+            c = _k_colored(n, k, seed)
+            text = serialize(c)
+            assert text == _fstring_serialize(c)
+            assert deserialize(text) == c
+            assert serialize(c) == text
+
+    def test_kept_layout_needs_no_rebuild(self, monkeypatch):
+        first, second = _k_colored(33, 7, 0), _k_colored(33, 4, 1)
+        text = serialize(first)
+
+        def rebuild(*args):
+            raise AssertionError("the text was rebuilt")
+
+        monkeypatch.setattr(core, "_text_bytes", rebuild)
+        assert deserialize(text) == first
+        assert serialize(second) == _fstring_serialize(second)
+        assert deserialize(serialize(second)) == second
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 300])
     def test_writer_is_byte_identical(self, n):
