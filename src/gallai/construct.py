@@ -716,7 +716,7 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
         verdict = oracle._table_verdict(d, None, None)
         if verdict.witness is not None:
             return verdict.witness
-        if verdict.is_infeasible:
-            return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
-        return NotConstructed("unknown", "exhaustive search hit its budget")
+        # With no budget and no deadline the table step always decides.
+        assert verdict.is_infeasible
+        return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
     return NotConstructed("unknown", "no special coloring found and n too large for the oracle")

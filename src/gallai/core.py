@@ -458,8 +458,9 @@ _VECTOR_MIN_N = 20
 # its color bytes or None until first reuse), or None before the first.
 # With one-digit colors every such text of K_n has the same length and
 # differs from the kept one only in the header's k digit and the color
-# bytes.  Replaced by one assignment, so a concurrent caller sees either the
-# old layout or the new one.
+# bytes, so the reader checks a text of that K_n by filling a copy of the
+# kept one.  Replaced by one assignment, so a concurrent caller sees either
+# the old layout or the new one.
 _TEXT_SLOT: Optional[tuple[int, bytes, Optional[np.ndarray]]] = None
 
 
@@ -479,7 +480,8 @@ def _kept_layout(n: int) -> Optional[tuple[bytes, np.ndarray]]:
 
 def _fill_layout(n: int, k: int, text: bytes, offsets: np.ndarray, colors: np.ndarray) -> bytearray:
     """A copy of the kept ``text`` with header k and one-digit ``colors``
-    (in 1..9, lexicographic edge order) written in."""
+    (in 1..9, lexicographic edge order) written in: the canonical text of
+    those colors."""
     out = bytearray(text)
     cells = np.frombuffer(out, dtype=np.uint8)
     cells[len(str(n)) + 1] = ord("0") + k
@@ -493,9 +495,8 @@ def serialize(c: Coloring) -> str:
     Edges appear in lexicographic order of (u, v); every line ends with LF.
     Numbers are written in plain decimal, separated by one space.
 
-    From K_20 up with k <= 9, the text of the last such K_n written or read
-    is kept (``_TEXT_SLOT``: one text plus one offset per edge), so the
-    next text of that K_n is a copy with the colors written in.
+    From K_20 up with k <= 9, the text written becomes the kept layout
+    (``_TEXT_SLOT``), so that reading it back costs a fill, not a rebuild.
     """
     global _TEXT_SLOT
     n, k = c.n, c.k
@@ -503,9 +504,6 @@ def serialize(c: Coloring) -> str:
         lines = [f"{n} {k}"]
         lines.extend(f"{u} {v} {col}" for u, v, col in c.edges())
         return "\n".join(lines) + "\n"
-    kept = _kept_layout(n) if k <= 9 else None
-    if kept is not None:
-        return _fill_layout(n, k, *kept, _lex_edges(c)[2]).decode("ascii")
     raw = _text_bytes(n, k, *_lex_edges(c))
     if k <= 9:
         _TEXT_SLOT = (n, raw, None)
@@ -583,8 +581,9 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     have read.  The line count is compared with n(n-1)/2 before anything
     sized by n is allocated.  A text of the K_n whose layout ``serialize``
     keeps, with k <= 9 and the kept length, is read at the kept color
-    offsets and written again by the same fill as ``serialize``; an
-    accepted text from K_20 up with k <= 9 becomes the kept layout.
+    offsets and written again by filling a copy of the kept text; an
+    accepted text from K_20 up with k <= 9 becomes the kept layout.  The
+    slot retains one text plus one 8-byte offset per edge.
     """
     global _TEXT_SLOT
     if not text.isascii():
@@ -595,7 +594,8 @@ def _read_canonical(text: str) -> Optional[Coloring]:
         return None
     edges = total_edges(n)
     kept = _kept_layout(n) if k <= 9 else None
-    if kept is not None and len(kept[0]) == len(text):
+    hit = kept is not None and len(kept[0]) == len(text)
+    if hit:
         raw = text.encode("ascii")
         colors = np.frombuffer(raw, dtype=np.uint8)[kept[1]] - np.uint8(ord("0"))
         # Bytes below "0" wrap above 9, so this range check refuses them.
@@ -622,12 +622,13 @@ def _read_canonical(text: str) -> Optional[Coloring]:
         u, v, _ = _lex_order(n)
         if _text_bytes(n, k, u, v, colors) != raw:
             return None
-        if n >= _VECTOR_MIN_N and k <= 9:
-            last.flags.writeable = False
-            _TEXT_SLOT = (n, raw, last)
     colex = np.empty(edges, dtype=np.int32)
     colex[_lex_order(n)[2]] = colors
-    return Coloring(n, colex, k=k)
+    c = Coloring(n, colex, k=k)
+    if not hit and n >= _VECTOR_MIN_N and k <= 9:
+        last.flags.writeable = False
+        _TEXT_SLOT = (n, raw, last)
+    return c
 
 
 def _read_lines(text: str) -> Coloring:

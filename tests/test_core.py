@@ -355,7 +355,7 @@ class TestVectorizedText:
         # The kept layout still reads its own K_n afterwards.
         assert deserialize(text) == c
 
-    def test_writer_across_sizes_and_color_widths(self):
+    def test_round_trip_across_sizes_and_color_widths(self):
         steps = [(20, 9), (20, 10), (20, 9), (45, 3), (20, 1), (20, 12), (45, 9),
                  (45, 9), (20, 9), (45, 10), (45, 2)]
         for seed, (n, k) in enumerate(steps):
@@ -363,10 +363,11 @@ class TestVectorizedText:
             text = serialize(c)
             assert text == _fstring_serialize(c)
             assert deserialize(text) == c
-            assert serialize(c) == text
+            assert deserialize(text) == c
 
     def test_kept_layout_needs_no_rebuild(self, monkeypatch):
         first, second = _k_colored(33, 7, 0), _k_colored(33, 4, 1)
+        other = serialize(second)
         text = serialize(first)
 
         def rebuild(*args):
@@ -374,8 +375,16 @@ class TestVectorizedText:
 
         monkeypatch.setattr(core, "_text_bytes", rebuild)
         assert deserialize(text) == first
-        assert serialize(second) == _fstring_serialize(second)
-        assert deserialize(serialize(second)) == second
+        # A text of the same K_n that is not the kept one is a fill too.
+        assert deserialize(other) == second
+
+    def test_refused_text_is_not_kept(self, monkeypatch):
+        text = serialize(_k_colored(25, 3, 0))
+        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        # The right layout, but k = 4 is not the largest color in use.
+        with pytest.raises(InvariantViolation):
+            deserialize(text.replace("25 3", "25 4", 1))
+        assert core._TEXT_SLOT is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 300])
     def test_writer_is_byte_identical(self, n):
