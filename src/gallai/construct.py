@@ -7,17 +7,18 @@ paper's constructive proofs and have no fallback to star search: a schedule
 that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
 label partition, ``InternalScheduleError`` for wrong class sizes).
 
-The K_5 base is the paper's fixed table.  The K_8 base has no schedule of
+From K_{g(k)} up, for the k whose threshold g(k) is known (``_THRESHOLDS``),
+a distribution is peeled down to K_{g(k)} and its base has no schedule of
 its own: it asks ``oracle.search_realizable``, which tries star search and
 then its table of Gallai substitutions, and certifies a table witness.
 
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: the class sizes and either speciality, where promised, or
-rainbow-freeness.  Builders that recurse (the K_5/K_8 bases under
-peel/replay, the 8k^2+1 construction) call each other through the
-unchecked private ``_k3_base``, ``_k4_base`` and ``_gk_general``, so one
-public call pays for one certification, and a wrong schedule still cannot
-leak out as a wrong coloring.
+rainbow-freeness.  Builders that recurse (peel/replay onto a K_{g(k)}
+base, the 8k^2+1 construction) call each other through the unchecked
+private ``_construct_guaranteed`` and ``_gk_general``, so one public call
+pays for one certification of the result, and a wrong schedule still
+cannot leak out as a wrong coloring.
 """
 
 from __future__ import annotations
@@ -457,43 +458,13 @@ def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring
 
 
 # ---------------------------------------------------------------------------
-# Base cases: three colors on K_5, four colors on K_8
+# Guaranteed regions: two colors, and k colors from K_{g(k)} up
 # ---------------------------------------------------------------------------
 
-_K3_TABLE: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
-    (7, 2, 1): ((4, 3), (2,), (1,)),
-    (6, 3, 1): ((4, 2), (3,), (1,)),
-    (5, 4, 1): ((3, 2), (4,), (1,)),
-    (5, 3, 2): ((4, 1), (3,), (2,)),
-    (4, 3, 3): ((4,), (3,), (2, 1)),
-    (4, 4, 2): ((4,), (3, 1), (2,)),
-}
-
-
-def construct_k3_base(d: Distribution) -> Coloring:
-    """All eight 3-part distributions of K_5, via the fixed table.
-
-    Six are special colorings; (8,1,1) uses two disjoint edges and (6,2,2)
-    a complete bipartite class.
-    """
-    if d.n != 5 or d.k != 3:
-        raise PreconditionViolated(f"need a 3-part distribution on K_5, got {d}")
-    return _checked(_k3_base(d), d)
-
-
-def _k3_base(d: Distribution) -> Coloring:
-    key = d.sizes
-    if key in _K3_TABLE:
-        return special_coloring(star_partition(5, _K3_TABLE[key]))
-    # Colex edge order of K_5: 01 02 12 03 13 23 04 14 24 34.
-    if key == (8, 1, 1):
-        # Color 1 except the disjoint edges 01 and 23.
-        return Coloring(5, (2, 1, 1, 1, 1, 3, 1, 1, 1, 1))
-    if key == (6, 2, 2):
-        # Complete bipartite {0,1} x {2,3,4} in color 1, 01 and 23 in color 2.
-        return Coloring(5, (2, 1, 1, 1, 1, 2, 1, 1, 3, 3))
-    # The eight cases above are exhaustive.
-    raise InternalScheduleError(f"unexpected distribution {d}")  # pragma: no cover
+# g(k), the least n from which every k-part distribution of K_n is
+# realizable: the paper proves g(3) = 5 and g(4) = 8, and ``compute_g``
+# recomputes both from the oracle's table.
+_THRESHOLDS = {3: 5, 4: 8}
 
 
 def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
@@ -504,27 +475,6 @@ def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
     arr = np.empty(len(at), dtype=np.int32)
     arr[at] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return Coloring(n, arr)
-
-
-def construct_k4_base(d: Distribution) -> Coloring:
-    """Any 4-part distribution of K_8, through ``oracle.search_realizable``.
-
-    A special coloring from star search when one exists (136 of the 169),
-    else the witness the oracle rebuilds from its Gallai-substitution table,
-    which holds every count vector of K_8.  g(4) = 8 makes all 169
-    realizable.
-    """
-    if d.n != 8 or d.k != 4:
-        raise PreconditionViolated(f"need a 4-part distribution on K_8, got {d}")
-    return _checked(_k4_base(d), d)
-
-
-def _k4_base(d: Distribution) -> Coloring:
-    """Unchecked K_8 base: the oracle's star partition, else its table witness."""
-    verdict = oracle.search_realizable(d)
-    if verdict.witness is None:
-        raise InternalScheduleError(f"no coloring found for {d} (expected total)")
-    return verdict.witness
 
 
 # ---------------------------------------------------------------------------
@@ -619,27 +569,26 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
 
 
 def _construct_guaranteed(d: Distribution, stats: Optional[dict] = None) -> Coloring:
-    """Builder for the regions where success is unconditional."""
+    """Builder for the regions where success is unconditional.
+
+    For k in ``_THRESHOLDS``, d is peeled to K_{g(k)} (``peel_reduction``
+    refuses n < g(k)) and the base comes from ``oracle.search_realizable``.
+    """
     k, n = d.k, d.n
     if k == 0:
         return Coloring(n, ())
     if k <= 2:
         return _lex_fill(n, d.sizes)
-    if k == 3:
-        if n < 5:
-            raise PreconditionViolated(f"three colors need n >= 5, got n={n}")
-        if n == 5:
-            return _k3_base(d)
-        base, log = peel_reduction(d, 5)
-        return replay_peel(_construct_guaranteed(base), d, log)
-    if k == 4:
-        if n < 8:
-            raise PreconditionViolated(f"four colors need n >= 8, got n={n}")
-        if n == 8:
-            return _k4_base(d)
-        base, log = peel_reduction(d, 8)
-        return replay_peel(_construct_guaranteed(base), d, log)
-    return _gk_general(d, stats)
+    g = _THRESHOLDS.get(k)
+    if g is None:
+        return _gk_general(d, stats)
+    base, log = peel_reduction(d, g)
+    if base.k < k:  # only (5,5,5)/K_6 peels to fewer classes: (5,5)/K_5
+        return replay_peel(_lex_fill(g, base.sizes), d, log)
+    witness = oracle.search_realizable(base).witness
+    if witness is None:
+        raise InternalScheduleError(f"no coloring found for {base} (expected total)")
+    return replay_peel(witness, d, log)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +634,9 @@ def merge_classes(c: Coloring, grouping: Iterable[Iterable[int]]) -> Coloring:
 def construct_any(d: Distribution) -> Coloring | NotConstructed:
     """Dispatch to the guaranteed builders, else best effort.
 
-    Guaranteed regions: k <= 2 always; k = 3 with n >= 5; k = 4 with
-    n >= 8; k >= 5 with n >= 8k^2+1.  Outside them the necessary condition
+    Guaranteed regions: k <= 2 always; n >= g(k) for each k in
+    ``_THRESHOLDS`` (g(3) = 5, g(4) = 8), by peeling to K_{g(k)}; any other
+    k with n >= 8k^2+1.  Outside them the necessary condition
     is checked first, then a star-partition search, then (for n <= 8) the
     oracle, whose table of Gallai substitutions holds every count vector of
     K_n and so decides exactly; its witness is a substitution, not a
@@ -694,12 +644,7 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
     ``unknown`` when star search finds nothing.
     """
     k, n = d.k, d.n
-    if (
-        k <= 2
-        or (k == 3 and n >= 5)
-        or (k == 4 and n >= 8)
-        or (k >= 5 and n >= 8 * k * k + 1)
-    ):
+    if k <= 2 or n >= _THRESHOLDS.get(k, 8 * k * k + 1):
         return _checked(_construct_guaranteed(d), d)
     ok, ell = verify.check_necessary(d)
     if not ok:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -61,3 +63,135 @@ def label_partitions(draw, min_n: int = 2, max_n: int = 12):
         groups.append(tuple(labels[prev:cut]))
         prev = cut
     return n, [g for g in groups if g]
+
+
+# ---------------------------------------------------------------------------
+# Backtracking search: a second method, independent of the oracle's table
+# ---------------------------------------------------------------------------
+# It colors edges in colex order (all edges into vertex v come after
+# everything among 0..v-1), pruning on the rainbow triangle closed by the
+# new edge, exhausted color budgets, symmetry among interchangeable colors,
+# and the prefix-sum bound applied to the untouched vertex suffix.
+
+def _suffix_bounds(n: int, k: int) -> list[Optional[tuple[int, ...]]]:
+    """Per-edge prefix-sum requirements for the untouched suffix.
+
+    Entry t is set when edge t opens a new vertex row v: any completion
+    induces a rainbow-free coloring on the last n-v vertices, so the sorted
+    remaining budgets must dominate the bound sums for K_{n-v}.
+    """
+    out: list[Optional[tuple[int, ...]]] = [None] * total_edges(n)
+    t = 0
+    for v in range(1, n):
+        m_f = n - v
+        if m_f >= 2:
+            bounds = []
+            acc = 0
+            for j in range(1, min(k, m_f - 1) + 1):
+                acc += m_f - j
+                bounds.append(acc)
+            out[t] = tuple(bounds)
+        t += v
+    return out
+
+
+def _backtrack(
+    n: int,
+    sizes: tuple[int, ...],
+    max_nodes: Optional[int],
+    deadline: Optional[float],
+) -> tuple[str, Optional[tuple[int, ...]], int]:
+    """Exhaustive search core; returns (tag, colex colors or None, nodes)."""
+    k = len(sizes)
+    E = total_edges(n)
+    if E == 0:
+        return ("feasible", (), 0) if k == 0 else ("infeasible", None, 0)
+    if k == 0:
+        return "infeasible", None, 0
+
+    pairs_below: list[tuple[tuple[int, int], ...]] = []
+    for v in range(n):
+        for u in range(v):
+            pairs_below.append(
+                tuple(
+                    (u * (u - 1) // 2 + w, v * (v - 1) // 2 + w) for w in range(u)
+                )
+            )
+    row_bounds = _suffix_bounds(n, k)
+    bit = [1 << c for c in range(k + 1)]
+    full = (1 << (k + 1)) - 2
+    sym_prev = [0] * (k + 1)
+    for c in range(2, k + 1):
+        if sizes[c - 1] == sizes[c - 2]:
+            sym_prev[c] = c - 1
+
+    rem = [0] + list(sizes)
+    used = [0] * (k + 1)
+    choice = [0] * E
+    masks = [0] * E
+    ptrs = [0] * E
+    nodes = 0
+    masks[0] = full
+    t = 0
+    time_check = 0
+
+    while True:
+        mask = masks[t]
+        c = ptrs[t] + 1
+        while c <= k:
+            if (
+                (mask >> c) & 1
+                and rem[c] > 0
+                and (used[c] or sym_prev[c] == 0 or used[sym_prev[c]])
+            ):
+                break
+            c += 1
+        if c > k:
+            if t == 0:
+                return "infeasible", None, nodes
+            t -= 1
+            cc = choice[t]
+            rem[cc] += 1
+            used[cc] -= 1
+            continue
+        ptrs[t] = c
+        choice[t] = c
+        rem[c] -= 1
+        used[c] += 1
+        nodes += 1
+        if max_nodes is not None and nodes >= max_nodes:
+            return "unknown", None, nodes
+        if deadline is not None:
+            time_check += 1
+            if time_check >= 4096:
+                time_check = 0
+                if time.monotonic() > deadline:
+                    return "unknown", None, nodes
+        nt = t + 1
+        if nt == E:
+            return "feasible", tuple(choice), nodes
+        bounds = row_bounds[nt]
+        if bounds is not None:
+            rs = sorted(rem[1:], reverse=True)
+            acc = 0
+            ok = True
+            for idx, b in enumerate(bounds):
+                acc += rs[idx]
+                if acc < b:
+                    ok = False
+                    break
+            if not ok:
+                rem[c] += 1
+                used[c] -= 1
+                continue
+        m2 = full
+        for ia, ib in pairs_below[nt]:
+            a = choice[ia]
+            b = choice[ib]
+            if a != b:
+                m2 &= bit[a] | bit[b]
+                if not m2:
+                    break
+        masks[nt] = m2
+        ptrs[nt] = 0
+        t = nt

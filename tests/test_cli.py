@@ -36,6 +36,14 @@ class TestConstruct:
         assert code == 2
         assert "error" in stderr
 
+    def test_undecided_distribution_is_unknown(self, capsys):
+        # Eight colors on K_19 lie outside every guaranteed region, star
+        # search finds no partition, and n is too large for the oracle.
+        code, stdout, stderr = run(
+            capsys, "construct", "--n", "19", "--dist", "57,38,23,20,19,12,1,1"
+        )
+        assert code == 3 and stderr == ""
+        assert stdout.splitlines()[-1].startswith("not constructed: unknown")
 
     def test_internal_error_is_unknown(self, monkeypatch, capsys):
         def broken(d, stats=None):
@@ -150,6 +158,11 @@ class TestOracle:
         )
         assert code == 3 and "unknown" in stdout
 
+    @pytest.mark.parametrize("budget", [["--budget-nodes", "-1"], ["--budget-ms", "-5"]])
+    def test_negative_budget_is_usage_error(self, capsys, budget):
+        code, stdout, stderr = run(capsys, "oracle", "--n", "6", "--dist", "8,3,3,1", *budget)
+        assert code == 2 and stdout == "distribution: 8,3,3,1 on K_6\n"
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
     def test_internal_error_is_unknown(self, monkeypatch, capsys):
         def broken(*args):
@@ -175,6 +188,28 @@ class TestEnumerateAndG:
         assert code == 0
         assert stdout.strip() == "total 0: 0 feasible, 0 infeasible, 0 unknown"
 
+    def test_enumerate_unknown_on_tiny_budget(self, capsys):
+        code, stdout, _ = run(capsys, "enumerate", "--n", "6", "--k", "4", "--budget-nodes", "3")
+        assert code == 3
+        assert stdout.splitlines()[-1].endswith(" unknown") and ": unknown" in stdout
+
+    # The second of each pair asks for no search at all: K_1 has no 1-part
+    # distribution, and no n <= 1 is tried for k = 3.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "6", "--k", "4"],
+            ["enumerate", "--n", "1", "--k", "1"],
+            ["compute-g", "--k", "4", "--n-max", "8"],
+            ["compute-g", "--k", "3", "--n-max", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("budget", [["--budget-nodes", "-1"], ["--budget-ms", "-5"]])
+    def test_negative_budget_is_usage_error(self, capsys, argv, budget):
+        code, stdout, stderr = run(capsys, *argv, *budget)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_compute_g(self, capsys):
         code, stdout, _ = run(capsys, "compute-g", "--k", "3", "--n-max", "6")
         assert code == 0 and stdout.strip() == "5"
@@ -195,6 +230,12 @@ class TestRandomAndDot:
         run(capsys, "random", "--n", "9", "--seed", "11", "--out", str(a))
         run(capsys, "random", "--n", "9", "--seed", "11", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "5", "--max-colors", "0"]])
+    def test_random_bad_size_is_usage_error(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "random", "--seed", "1", *argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: need ")
 
     def test_export_dot(self, tmp_path, capsys):
         out = tmp_path / "c.coloring"

@@ -16,13 +16,13 @@ from gallai.core import (
     total_edges,
 )
 from gallai.construct import (
+    _THRESHOLDS,
     NotConstructed,
+    _construct_guaranteed,
     construct_any,
     construct_balanced,
     construct_division,
     construct_gk_general,
-    construct_k3_base,
-    construct_k4_base,
     extend_by_star,
     lower_bound_witness,
     merge_classes,
@@ -32,6 +32,7 @@ from gallai.construct import (
     star_partition_for,
 )
 from gallai.generator import random_gallai
+from gallai.oracle import compute_g, partitions
 from gallai.verify import class_sizes, is_gallai, is_special_coloring
 
 
@@ -290,17 +291,14 @@ class TestExtendAndPeel:
 
     def test_replay_restores_distribution(self):
         d = canonicalize([12, 6, 3], 7)
-        base, log = peel_reduction(d, 5)
-        c_base = construct_k3_base(base) if base.k == 3 and base.n == 5 else None
-        assert c_base is not None
-        c = replay_peel(c_base, d, log)
+        base, log = peel_reduction(d, _THRESHOLDS[3])
+        assert base.n == 5 and base.k == 3
+        c = replay_peel(_construct_guaranteed(base), d, log)
         verified(c, d.sizes)
 
     def test_replay_recreates_emptied_classes(self):
         d = canonicalize([7, 7, 7, 7], 8)
         base, log = peel_reduction(d, 5)
-        from gallai.construct import _construct_guaranteed
-
         c = replay_peel(_construct_guaranteed(base), d, log)
         verified(c, d.sizes)
 
@@ -310,15 +308,16 @@ class TestExtendAndPeel:
         import random
 
         rng = random.Random(seed)
+        base_ns = {1: 2, 2: 2, **_THRESHOLDS}
         k = rng.randint(1, 4)
-        n = rng.randint(max(2, {1: 2, 2: 2, 3: 5, 4: 8}[k]), 16)
+        n = rng.randint(base_ns[k], 16)
         total = total_edges(n)
         if total < k:
             return
         cuts = sorted(rng.sample(range(1, total), k - 1)) if k > 1 else []
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         d = canonicalize(sizes, n)
-        base_n = {1: 2, 2: 2, 3: 5, 4: 8}[d.k]
+        base_n = base_ns[d.k]
         if d.n <= base_n:
             return
         try:
@@ -333,63 +332,108 @@ class TestExtendAndPeel:
         assert is_gallai(c)
 
 
-class TestK3Base:
-    def test_all_eight_distributions(self):
-        from gallai.oracle import partitions
+class TestThresholds:
+    """Each k in ``_THRESHOLDS`` peels to K_{g(k)} and builds the base there."""
 
+    def test_thresholds_match_the_table(self):
+        for k, g in _THRESHOLDS.items():
+            assert compute_g(k, g) == g
+
+    def test_only_five_fives_empties_a_class(self):
+        # A peel step from K_m empties the largest class only when it has
+        # m - 1 edges, so only when m(m-1)/2 <= k(m-1); above K_{g(k)} that
+        # leaves (5,5,5)/K_6 alone.
+        emptied = set()
+        for k, g in _THRESHOLDS.items():
+            for n in range(g + 1, 13):
+                for sizes in partitions(total_edges(n), k):
+                    base, _ = peel_reduction(canonicalize(sizes, n), g)
+                    if base.k < k:
+                        emptied.add((k, base.sizes))
+        assert emptied == {(3, (5, 5))}
+
+    def test_five_fives_builds_a_two_part_base(self):
+        d = canonicalize([5, 5, 5], 6)
+        base, log = peel_reduction(d, _THRESHOLDS[3])
+        assert base == canonicalize([5, 5], 5) and log == (0,)
+        c = construct_any(d)
+        assert isinstance(c, Coloring)
+        verified(c, d.sizes)
+        # The two-color fill of (5,5)/K_5 plus a star, as before the route
+        # was shared; star search would give other (special) bytes.
+        assert c == Coloring(6, [1, 1, 1, 1, 2, 2, 1, 2, 2, 2, 3, 3, 3, 3, 3])
+
+
+class TestK3Base:
+    """The K_5 bases, built by ``construct_any``."""
+
+    def test_all_eight_distributions(self):
+        # Special exactly when star search finds a partition; otherwise the
+        # coloring is the oracle's table witness.
         parts = list(partitions(10, 3))
         assert len(parts) == 8
+        special = 0
         for sizes in parts:
-            c = construct_k3_base(canonicalize(sizes, 5))
+            d = canonicalize(sizes, 5)
+            c = construct_any(d)
+            assert isinstance(c, Coloring), sizes
             verified(c, sizes)
+            assert is_special_coloring(c) == (star_partition_for(d) is not None), sizes
+            special += is_special_coloring(c)
+        assert special == 6
 
     def test_table_entry_is_special(self):
-        c = construct_k3_base(canonicalize([6, 3, 1], 5))
+        c = construct_any(canonicalize([6, 3, 1], 5))
         assert is_special_coloring(c)
 
     def test_ad_hoc_cases_are_not_special(self):
-        assert not is_special_coloring(construct_k3_base(canonicalize([8, 1, 1], 5)))
-        assert not is_special_coloring(construct_k3_base(canonicalize([6, 2, 2], 5)))
+        assert not is_special_coloring(construct_any(canonicalize([8, 1, 1], 5)))
+        assert not is_special_coloring(construct_any(canonicalize([6, 2, 2], 5)))
 
     def test_bipartite_class_structure(self):
-        c = construct_k3_base(canonicalize([6, 2, 2], 5))
-        crossing = sum(1 for u, v, col in c.edges() if col == 1)
-        assert crossing == 6
+        # The largest class of (6,2,2) is a complete bipartite K_{2,3}.
+        c = construct_any(canonicalize([6, 2, 2], 5))
+        side = {0} | {v for v in range(1, 5) if c.edge_color(0, v) != 1}
+        crossing = {(u, v) for u, v, col in c.edges() if col == 1}
+        assert len(side) in (2, 3)
+        assert crossing == {(u, v) for u, v, _ in c.edges() if (u in side) != (v in side)}
 
     def test_rejects_wrong_instance(self):
         with pytest.raises(PreconditionViolated):
-            construct_k3_base(canonicalize([6, 3, 1, 5], 6))
+            _construct_guaranteed(canonicalize([6, 3, 1, 5], 6))
 
 
 class TestK4Base:
+    """The K_8 bases, built by ``construct_any``."""
+
+    @staticmethod
+    def built(sizes, n=8):
+        c = construct_any(canonicalize(sizes, n))
+        assert isinstance(c, Coloring), sizes
+        verified(c, sizes)
+        return c
+
     def test_case1_clique_rows(self):
-        c = construct_k4_base(canonicalize([16, 4, 4, 4], 8))
-        verified(c, [16, 4, 4, 4])
-        c = construct_k4_base(canonicalize([25, 1, 1, 1], 8))
-        verified(c, [25, 1, 1, 1])
+        self.built([16, 4, 4, 4])
+        self.built([25, 1, 1, 1])
 
     def test_sevens_peel_down(self):
-        c = construct_k4_base(canonicalize([7, 7, 7, 7], 8))
-        verified(c, [7, 7, 7, 7])
+        self.built([7, 7, 7, 7])
 
     def test_tricky_reduced_instances(self):
         # (12,12,2,2) has no star partition, so the oracle's table builds it;
         # the other four are special colorings from star search.
         for sizes in ([13, 12, 2, 1], [13, 11, 3, 1], [12, 12, 2, 2], [8, 8, 6, 6], [13, 5, 5, 5]):
-            c = construct_k4_base(canonicalize(sizes, 8))
-            verified(c, sizes)
+            c = self.built(sizes)
+            assert is_special_coloring(c) == (sizes != [12, 12, 2, 2])
 
     def test_all_partitions(self):
         # Special exactly when star search finds a partition; otherwise the
         # coloring is the oracle's table witness.
-        from gallai.oracle import partitions
-
         star = 0
         for sizes in partitions(28, 4):
-            d = canonicalize(sizes, 8)
-            c = construct_k4_base(d)
-            verified(c, sizes)
-            found = star_partition_for(d) is not None
+            c = self.built(sizes)
+            found = star_partition_for(canonicalize(sizes, 8)) is not None
             assert is_special_coloring(c) == found, sizes
             star += found
         assert star == 136
@@ -397,15 +441,9 @@ class TestK4Base:
     def test_every_k9_distribution_over_the_base(self):
         # 43 of the 351 peel to a K_8 base without a star partition, so
         # replay_peel re-attaches stars to a table witness.
-        from gallai.oracle import partitions
-
         table_bases = 0
         for sizes in partitions(36, 4):
-            d = canonicalize(sizes, 9)
-            c = construct_any(d)
-            assert isinstance(c, Coloring), sizes
-            verified(c, sizes)
-            table_bases += not is_special_coloring(c)
+            table_bases += not is_special_coloring(self.built(sizes, 9))
         assert table_bases == 43
 
 

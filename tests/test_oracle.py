@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import _backtrack
 from gallai.core import PreconditionViolated, canonicalize, total_edges
 from gallai.oracle import (
     compute_g,
@@ -50,6 +51,11 @@ class TestSearch:
     def test_budget_returns_unknown(self):
         v = search_realizable(canonicalize([8, 3, 3, 1], 6), max_nodes=3)
         assert v.is_unknown and v.witness is None
+
+    @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"max_ms": -5}])
+    def test_negative_budget_is_refused(self, budget):
+        with pytest.raises(PreconditionViolated):
+            search_realizable(canonicalize([8, 3, 3, 1], 6), **budget)
 
     def test_deterministic_tags(self):
         d = canonicalize([7, 3, 2, 2, 1], 6)
@@ -187,7 +193,7 @@ class TestStructural:
         assert len(cases) == 233 + 221
         for d in cases:
             tag, colors, _ = oracle._structural(d.n, d.sizes, None, None)
-            assert (tag, d) == (oracle._backtrack(d.n, d.sizes, None, None)[0], d)
+            assert (tag, d) == (_backtrack(d.n, d.sizes, None, None)[0], d)
             if tag == "feasible":
                 _checked(Coloring(d.n, colors), d)
 
