@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
 from typing import Optional
 
@@ -95,12 +94,7 @@ def _suffix_bounds(n: int, k: int) -> list[Optional[tuple[int, ...]]]:
     return out
 
 
-def _backtrack(
-    n: int,
-    sizes: tuple[int, ...],
-    max_nodes: Optional[int],
-    deadline: Optional[float],
-) -> tuple[str, Optional[tuple[int, ...]], int]:
+def _backtrack(n: int, sizes: tuple[int, ...]) -> tuple[str, Optional[tuple[int, ...]], int]:
     """Exhaustive search core; returns (tag, colex colors or None, nodes)."""
     k = len(sizes)
     E = total_edges(n)
@@ -133,7 +127,6 @@ def _backtrack(
     nodes = 0
     masks[0] = full
     t = 0
-    time_check = 0
 
     while True:
         mask = masks[t]
@@ -159,14 +152,6 @@ def _backtrack(
         rem[c] -= 1
         used[c] += 1
         nodes += 1
-        if max_nodes is not None and nodes >= max_nodes:
-            return "unknown", None, nodes
-        if deadline is not None:
-            time_check += 1
-            if time_check >= 4096:
-                time_check = 0
-                if time.monotonic() > deadline:
-                    return "unknown", None, nodes
         nt = t + 1
         if nt == E:
             return "feasible", tuple(choice), nodes

@@ -360,7 +360,9 @@ class TestThresholds:
         assert isinstance(c, Coloring)
         verified(c, d.sizes)
         # The two-color fill of (5,5)/K_5 plus a star, as before the route
-        # was shared; star search would give other (special) bytes.
+        # was shared; star search would give other (special) bytes.  Large
+        # 3-part requests peel through (5,5,5)/K_6 too, e.g.
+        # (2697,1399,854)/K_100, so this keeps their output unchanged.
         assert c == Coloring(6, [1, 1, 1, 1, 2, 2, 1, 2, 2, 2, 3, 3, 3, 3, 3])
 
 

@@ -193,7 +193,7 @@ class TestStructural:
         assert len(cases) == 233 + 221
         for d in cases:
             tag, colors, _ = oracle._structural(d.n, d.sizes, None, None)
-            assert (tag, d) == (_backtrack(d.n, d.sizes, None, None)[0], d)
+            assert (tag, d) == (_backtrack(d.n, d.sizes)[0], d)
             if tag == "feasible":
                 _checked(Coloring(d.n, colors), d)
 
