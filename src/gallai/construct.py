@@ -64,7 +64,9 @@ def _checked(c: Coloring, want: Distribution, *, special: bool = False) -> Color
     alone, without ``rainbow_witness``: by the star argument, every vertex
     of a special coloring sends its down-edges in one color, so the top
     vertex of any triangle sees two of its edges in one color and no
-    triangle is rainbow.
+    triangle is rainbow.  ``rainbow_witness`` splits the scan at prefix
+    modules, so certifying an 8k^2+1 construction, whose block joins the
+    rest in one color, is no longer cubic in n.
     """
     if special:
         if not verify.is_special_coloring(c):

@@ -55,38 +55,56 @@ def _mixed_rows(c: Coloring) -> np.ndarray:
     return np.flatnonzero(mixed) + 1
 
 
-def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
-    """Return the lexicographically first rainbow triangle (u, v, w), or None.
+def _leads(arr: np.ndarray, n: int) -> np.ndarray:
+    """lead[z] for z = 0..n-1: how many down-edges of z, to 0, 1, ... in
+    turn, share the color of (z, 0) (lead[0] = 0).  Row z is mixed exactly
+    when lead[z] < z.
 
-    Star-suffix argument: if all down-edges of a vertex w (those to 0..w-1)
-    share one color, w is not the top of any rainbow triangle, since its two
-    edges in the triangle agree.  Let s be the least vertex such that every
-    vertex from s up has a one-color down-row.  Then every rainbow triangle
-    lies inside 0..s-1, whose edges are the colex prefix of length
-    s(s-1)/2, and scanning only that prefix returns the same witness as a
-    scan of all of K_n.  Finding s is O(E) with two ``reduceat`` passes; a
-    special coloring has s <= 2 and is not scanned at all.
-
-    The scan is O(s^3), vectorized row by row on a color matrix of the
-    narrowest unsigned dtype that holds k.  For the row of u, ``bad[i, j]``
-    says that (u, v, w) with v = u+1+i, w = u+1+j is rainbow.  It is
-    symmetric in (i, j), since the color matrix is, and false on the
-    diagonal, where a[i] != a[j] fails.  So if (i, j) is a hit with i > j,
-    then (j, i) is a hit too and comes first in row-major order: the first
-    row-major hit has v < w, and as row-major order on i < j is the
-    lexicographic order of (v, w), it is the lexicographically first witness
-    with smallest vertex u.  No triangular mask is needed.
+    One O(E) pass: a run break is a colex position whose color differs from
+    the one before it, and the first break past the start of row z, capped
+    at the length z of the row, ends its leading run.
     """
-    if c.n < 3 or c.k < 3:
-        return None
-    mixed = _mixed_rows(c)
-    if mixed.size == 0:
-        return None
-    s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
-    dtype = np.min_scalar_type(c.k)  # uint8 for k < 256, then uint16, uint32
-    mat = _color_matrix(c.colex_colors()[: s * (s - 1) // 2].astype(dtype), s)
-    for u in range(s - 2):
-        m = s - u - 1
+    starts = _row_starts(n)
+    breaks = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    ends = np.append(breaks, arr.size)[np.searchsorted(breaks, starts, side="right")]
+    return np.concatenate(([0], np.minimum(ends - starts, np.arange(1, n))))
+
+
+# Below this many vertices in 0..s-1 no prefix module is sought: on
+# generator output, splitting one off first saves more scan time than it
+# costs from about s = 48 up.  Below it in n, ``rainbow_witness`` finds s
+# with the cheaper ``reduceat`` pass of ``_mixed_rows`` instead of the leads.
+_MODULE_MIN_S = 48
+
+
+def _prefix_module(lead: Optional[np.ndarray], s: int) -> int:
+    """The largest t with 3 <= t < s and lead[z] >= t for every z in [t, s),
+    or 1 if there is none (or s is below ``_MODULE_MIN_S``).
+
+    Every vertex from t up then joins 0..t-1 in one color: 0..t-1 is a
+    module, and t = 1 is the trivial one.
+    """
+    if s < _MODULE_MIN_S:
+        return 1
+    floor = np.minimum.accumulate(lead[s - 1 : 2 : -1])[::-1]  # min(lead[z:s]), z = 3..s-1
+    cuts = np.flatnonzero(floor >= np.arange(3, s))
+    return int(cuts[-1]) + 3 if cuts.size else 1
+
+
+def _sub_colex(arr: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The colex colors of the coloring induced on ``verts`` (ascending)."""
+    q = verts.size
+    lens = np.arange(1, q)
+    upper = np.repeat(verts[1:], lens)
+    lower = verts[np.arange(q * (q - 1) // 2) - np.repeat(lens.cumsum() - lens, lens)]
+    return arr[upper * (upper - 1) // 2 + lower]
+
+
+def _scan(mat: np.ndarray, rows: range) -> Optional[tuple[int, int, int]]:
+    """The first rainbow (u, v, w) of the color matrix ``mat`` with u in ``rows``."""
+    size = len(mat)
+    for u in rows:
+        m = size - u - 1
         a = mat[u, u + 1 :]
         sub = mat[u + 1 :, u + 1 :]
         bad = (a[:, None] != a[None, :]) & (a[:, None] != sub) & (a[None, :] != sub)
@@ -95,6 +113,85 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
             h = int(hits[0])
             return (u, u + 1 + h // m, u + 1 + h % m)
     return None
+
+
+def _first_rainbow(
+    arr: np.ndarray, lead: Optional[np.ndarray], mixed: np.ndarray, dtype: np.dtype
+) -> Optional[tuple[int, int, int]]:
+    """``rainbow_witness`` of the coloring on 0..s-1, where s-1 is the last
+    of the ascending ``mixed`` rows; ``arr`` holds the colex colors and
+    ``lead`` the leads (``_leads``, None below ``_MODULE_MIN_S`` vertices)
+    of a coloring that has it as a prefix."""
+    if mixed.size == 0:
+        return None
+    s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
+    t = _prefix_module(lead, s)
+    inner = None
+    if t > 1:
+        inner = _first_rainbow(arr, lead, mixed[: np.searchsorted(mixed, t)], dtype)
+    if inner is not None and inner[0] == 0:
+        return inner
+    # The quotient: 0 stands for the module 0..t-1, beside t..s-1.  Its
+    # rows after the first only matter when the module has no witness.
+    q = s - t + 1
+    verts = np.concatenate(([0], np.arange(t, s))) if t > 1 else None
+    colex = arr[: s * (s - 1) // 2] if verts is None else _sub_colex(arr, verts)
+    mat = _color_matrix(colex.astype(dtype), q)
+    hit = _scan(mat, range(1) if inner is not None else range(q - 2))
+    if hit is None:
+        return inner
+    return hit if verts is None else tuple(int(verts[x]) for x in hit)
+
+
+def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
+    """Return the lexicographically first rainbow triangle (u, v, w), or None.
+
+    Star-suffix argument: if all down-edges of a vertex w (those to 0..w-1)
+    share one color, w is not the top of any rainbow triangle, since its two
+    edges in the triangle agree.  Let s be the least vertex such that every
+    vertex from s up has a one-color down-row.  Then every rainbow triangle
+    lies inside 0..s-1.
+
+    Prefix-module argument: let t < s be such that every vertex z in
+    t..s-1 sends its edges to 0..t-1 in one color, so 0..t-1 is a module
+    (Gallai's substitution; the 8k^2+1 construction puts its block on top of
+    the rest this way).  A triangle with two vertices in 0..t-1 has two
+    equal edges.  A triangle with one vertex x in 0..t-1 has the colors of
+    the one with x replaced by 0, which is lexicographically no larger.  So
+    the first rainbow triangle is the lexicographically smaller of the first
+    one inside 0..t-1, found by the same rule, and the first one of the
+    quotient 0, t, ..., s-1.  Lex order decides between them: an inner
+    witness with u = 0 wins; else a quotient witness with u = 0; else the
+    inner witness, if any; else the rest of the quotient.  The largest such
+    t with t >= 3 is taken; for s below ``_MODULE_MIN_S`` none is sought.
+
+    Cost: one O(E) pass finds s: ``_leads``, which also gives t at every
+    level, or below ``_MODULE_MIN_S`` vertices the cheaper ``reduceat``
+    pass of ``_mixed_rows``.  The cubic scan then runs only on the
+    quotients, so a substitution such as the 8k^2+1 construction is scanned
+    block by block.  A coloring with no prefix module, such as a
+    label-shuffled one, costs O(s^3) as before.
+
+    The scan is vectorized row by row on a color matrix of the narrowest
+    unsigned dtype that holds k.  For the row of u, ``bad[i, j]`` says that
+    (u, v, w) with v = u+1+i, w = u+1+j is rainbow.  It is symmetric in
+    (i, j), since the color matrix is, and false on the diagonal, where
+    a[i] != a[j] fails.  So if (i, j) is a hit with i > j, then (j, i) is a
+    hit too and comes first in row-major order: the first row-major hit has
+    v < w, and as row-major order on i < j is the lexicographic order of
+    (v, w), it is the lexicographically first witness with smallest vertex
+    u.  No triangular mask is needed.
+    """
+    if c.n < 3 or c.k < 3:
+        return None
+    arr = c.colex_colors()
+    if c.n < _MODULE_MIN_S:
+        lead, mixed = None, _mixed_rows(c)
+    else:
+        lead = _leads(arr, c.n)
+        mixed = np.flatnonzero(lead != np.arange(c.n))
+    # uint8 for k < 256, then uint16, uint32
+    return _first_rainbow(arr, lead, mixed, np.min_scalar_type(c.k))
 
 
 def is_gallai(c: Coloring) -> bool:

@@ -639,6 +639,30 @@ class TestWorkCounts:
         assert [calls["rainbow_witness"] for calls in counts] == [1, 1]
         assert counts[0]["Coloring"] == counts[1]["Coloring"]
 
+    def test_gk_certification_scans_the_block_not_all_of_k_n(self, monkeypatch):
+        # This request peels two stars to the 8k^2+1 threshold, where a block
+        # of 4k+1 = 21 vertices sits on top of a four-color part and joins it
+        # in color 1.  A scan of every row below the last mixed one ran 194
+        # rows; split at that prefix module, only the quotient (vertex 0 and
+        # the block) and the part's K_8 base are left to scan.
+        from gallai import verify
+
+        d = canonicalize([11153, 4900, 1683, 1638, 1129], 203)
+        construct_any(d)  # pays first-call costs, such as the oracle's table
+        rows = []
+        real_scan = verify._scan
+
+        def scan(mat, scanned):
+            rows.append(len(scanned))
+            return real_scan(mat, scanned)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_scan", scan)
+            c, calls = self._counted(monkeypatch, lambda: construct_any(d))
+        assert calls["rainbow_witness"] == 1
+        assert 0 < sum(rows) <= 30
+        verified(c, d.sizes)
+
     def test_table_fallback_searches_and_certifies_once(self, monkeypatch):
         # No star partition realizes (8,3,3,1)/K_6, so the oracle's table answers.
         d = canonicalize([8, 3, 3, 1], 6)

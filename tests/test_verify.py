@@ -14,8 +14,9 @@ from gallai.core import (
     edge_index,
     total_edges,
 )
-from gallai.construct import extend_by_star, special_coloring, _lex_fill
-from gallai.core import StarPartition, star_partition
+from gallai import verify
+from gallai.construct import construct_gk_general, extend_by_star, special_coloring, _lex_fill
+from gallai.core import StarPartition, balanced_sizes, star_partition
 from gallai.generator import random_gallai
 from gallai.verify import (
     _color_matrix,
@@ -44,6 +45,31 @@ def _one_rainbow_triangle() -> Coloring:
     return Coloring.from_edges(
         5, [(u, v, recolor.get((u, v), 1)) for u in range(5) for v in range(u + 1, 5)]
     )
+
+
+@st.composite
+def prefix_module_colorings(draw):
+    """An arbitrary base on t <= 7 vertices; above it, vertices that each
+    join the whole base in one color and meet each other arbitrarily; on
+    top, maybe a one-color star suffix.  At most 12 vertices."""
+    color = st.integers(min_value=1, max_value=4)
+    t = draw(st.integers(min_value=1, max_value=7))
+    tops = draw(st.integers(min_value=0, max_value=12 - t))
+    stars = draw(st.integers(min_value=0, max_value=12 - t - tops))
+    raw: list[int] = []
+    for v in range(t):
+        raw += draw(st.lists(color, min_size=v, max_size=v))
+    for v in range(t, t + tops):
+        raw += [draw(color)] * t + draw(st.lists(color, min_size=v - t, max_size=v - t))
+    for v in range(t + tops, t + tops + stars):
+        raw += [draw(color)] * v
+    return Coloring(t + tops + stars, compact_colors(raw))
+
+
+@pytest.fixture
+def modules_at_every_size(monkeypatch):
+    """Let ``rainbow_witness`` split off prefix modules on small colorings."""
+    monkeypatch.setattr(verify, "_MODULE_MIN_S", 3)
 
 
 class TestRainbow:
@@ -94,6 +120,34 @@ class TestRainbow:
         c = extend_by_star(extend_by_star(_one_rainbow_triangle(), 1), 2)
         assert naive_rainbow(c) == (1, 3, 4)
         assert rainbow_witness(c) == (1, 3, 4)
+
+    @given(prefix_module_colorings())
+    @settings(max_examples=300)
+    def test_prefix_module_keeps_the_first_witness(self, c):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verify, "_MODULE_MIN_S", 3)
+            assert rainbow_witness(c) == naive_rainbow(c)
+
+    def test_quotient_witness_at_zero_beats_a_later_inner_one(self, modules_at_every_size):
+        # 0..3 is a module with its own rainbow triangle (1, 2, 3); vertices
+        # 4 and 5 join it in colors 2 and 3 and each other in color 1, so the
+        # quotient 0, 4, 5 is rainbow and comes first.
+        recolor = {(1, 2): 2, (1, 3): 3, **{(u, 4): 2 for u in range(4)},
+                   **{(u, 5): 3 for u in range(4)}}
+        c = Coloring.from_edges(
+            6, [(u, v, recolor.get((u, v), 1)) for v in range(6) for u in range(v)]
+        )
+        assert verify._prefix_module(verify._leads(c.colex_colors(), 6), 6) == 4
+        assert rainbow_witness(c) == naive_rainbow(c) == (0, 4, 5)
+
+    def test_inner_witness_at_zero_beats_the_quotient(self, modules_at_every_size):
+        # 0..2 is a rainbow module; vertices 3 and 4 join it in colors 2 and
+        # 3 and each other in color 1, so the quotient 0, 3, 4 is rainbow too.
+        colors = {(0, 1): 1, (0, 2): 2, (1, 2): 3, (3, 4): 1,
+                  **{(u, 3): 2 for u in range(3)}, **{(u, 4): 3 for u in range(3)}}
+        c = Coloring.from_edges(5, [(u, v, col) for (u, v), col in colors.items()])
+        assert verify._prefix_module(verify._leads(c.colex_colors(), 5), 5) == 3
+        assert rainbow_witness(c) == naive_rainbow(c) == (0, 1, 2)
 
     def test_one_color_row_below_a_mixed_row_is_scanned(self):
         # Vertex 3 has a one-color down-row but sits below the mixed row of
@@ -280,6 +334,23 @@ class TestRainbowAgainstInt32Scan:
                 moved[rng.randrange(len(moved))] = max(arr) + 1
                 c = Coloring(n, compact_colors(moved))
                 assert rainbow_witness(c) == _int32_rainbow_witness(c)
+
+    @pytest.mark.parametrize("n", [201, 208, 215])
+    def test_gk_output_with_one_fresh_edge(self, n):
+        # The 8k^2+1 construction puts a block on top of a recursive part
+        # that it joins in one color: the scan splits at that prefix module.
+        # A fresh edge inside the module, inside the block or between them
+        # moves the first witness, or breaks the module.
+        c = construct_gk_general(canonicalize(balanced_sizes(n, 5), n))
+        assert rainbow_witness(c) is None
+        assert _int32_rainbow_witness(c) is None
+        arr = c.colex_colors().tolist()
+        rng = random.Random(n)
+        for at in rng.sample(range(len(arr)), 6):
+            moved = list(arr)
+            moved[at] = c.k + 1
+            m = Coloring(n, moved)
+            assert rainbow_witness(m) == _int32_rainbow_witness(m)
 
     def test_more_than_255_colors(self):
         # One star per vertex: vertex v has color 260 - v below it.  Edge
