@@ -1,8 +1,8 @@
 """Command-line surface for constructing, verifying and deciding colorings.
 
 Exit codes are the machine contract: 0 success/feasible, 1 infeasible or not
-constructed, 2 usage error, 3 unknown (budget exceeded, or an internal check
-failed so no answer was reached).
+constructed, 2 usage error, 3 unknown (budget exceeded, memory ran out, or an
+internal check failed, so no answer was reached).
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except InternalScheduleError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except MemoryError:
+        # Exit 1 would claim an answer: infeasible.
+        print("error: out of memory; no answer was reached", file=sys.stderr)
         return EXIT_UNKNOWN
     except (GallaiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -450,43 +450,143 @@ def _text_bytes(n: int, k: int, u: np.ndarray, v: np.ndarray, colors: np.ndarray
 
 
 # Below this many vertices one f-string per edge costs less than the fixed
-# cost of the numpy calls in _text_bytes (crossover between K_16 and K_24,
-# measured between backtracking searches on 2 vCPUs).
+# cost of the numpy calls of the vectorized writers (crossover between K_16
+# and K_24, measured between backtracking searches on 2 vCPUs).
 _VECTOR_MIN_N = 20
 
-# The kept layout: (n, a canonical text of K_n with k <= 9, the offsets of
-# its color bytes or None until first reuse), or None before the first.
-# With one-digit colors every such text of K_n has the same length and
-# differs from the kept one only in the header's k digit and the color
-# bytes, so the reader checks a text of that K_n by filling a copy of the
-# kept one.  Replaced by one assignment, so a concurrent caller sees either
-# the old layout or the new one.
-_TEXT_SLOT: Optional[tuple[int, bytes, Optional[np.ndarray]]] = None
+# The skeleton is built for the next multiple of this many vertices, so a
+# caller whose n grows a little at a time rebuilds it once per step.  Steps
+# of 32 and 64 measured no faster on the benchmark's construct and
+# round-trip workloads.
+_SKELETON_STEP = 128
+
+# Offsets into a text shorter than this fit in int32, and int32 temporaries
+# cost far less than int64 ones.
+_INT32_TEXT = 2**31
 
 
-def _kept_layout(n: int) -> Optional[tuple[bytes, np.ndarray]]:
-    """The kept text of K_n and its color-byte offsets, or None."""
-    global _TEXT_SLOT
+def _digit_total(n: int) -> int:
+    """The number of decimal digits in 0, 1, ..., n-1 together."""
+    total, power = n, 10
+    while power < n:
+        total += n - power
+        power *= 10
+    return total
+
+
+def _text_length(n: int, k: int) -> int:
+    """Bytes in a canonical text of K_n with k <= 9: every edge line holds
+    4 bytes besides its two vertices, and every vertex is on n-1 lines."""
+    return len(f"{n} {k}\n") + 4 * total_edges(n) + (n - 1) * _digit_total(n)
+
+
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The body of the canonical text of K_N colored all 1, with the
+    per-vertex sums that lay out the text of any K_n, n <= N, over it.
+
+    Row u of a text of K_n with one-digit colors lists the edges (u, v) for
+    v = u+1..n-1, so for every n <= N it is a byte prefix of row u here
+    with the colors written in.
+    """
+
+    # colex_start and step are int32 while the text of K_N is shorter than
+    # _INT32_TEXT bytes, else int64; layouts compute in the same width.
+    size: int
+    body: memoryview
+    starts: list[int]  # where row u begins in body
+    width: np.ndarray  # the bytes of a line of row u besides v: digits(u) + 4
+    lead: np.ndarray  # u * width[u] + digits(0) + ... + digits(u)
+    colex_start: np.ndarray  # v(v-1)/2, where the edges (., v) begin in colex order
+    step: np.ndarray  # [v, b]: v (b + 5) + digits(0) + ... + digits(v)
+    band: np.ndarray  # [v, b]: how many u < v have b + 1 digits
+
+
+def _build_skeleton(size: int) -> _Skeleton:
+    u, v = (a.astype(np.int32) for a in np.triu_indices(size, 1))
+    text = _text_bytes(size, 1, u, v, np.ones(len(u), dtype=np.int32))
+    vertex = np.arange(size)
+    # Vertices low[b] up to high[b] - 1 have b + 1 digits.
+    high = 10 ** np.arange(1, len(str(size - 1)) + 1)
+    low = high // 10 * (high > 10)
+    digits = (vertex[:, None] >= low).sum(axis=1)
+    upto = np.cumsum(digits)
+    width = digits + 4
+    lead = vertex * width + upto
+    rows = (size - 1) * width - lead + upto[-1]
+    # The texts of K_n, n <= size, are no longer than this one.
+    wide = np.int32 if len(text) < _INT32_TEXT else np.int64
+    step = vertex[:, None] * (np.arange(len(low)) + 5) + upto[:, None]
+    band = np.clip(vertex[:, None] - low, 0, high - low)
+    return _Skeleton(
+        size,
+        memoryview(text)[len(f"{size} 1\n") :],
+        (np.cumsum(rows) - rows).tolist(),
+        width,
+        lead,
+        (vertex * (vertex - 1) // 2).astype(wide),
+        step.astype(wide),
+        band.astype(np.intp),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Any canonical text of K_n with k <= 9: its header, then ``rows``
+    joined, with the color of the i-th edge in colex order at byte
+    ``at[i]``."""
+
+    n: int
+    rows: list[memoryview]
+    at: np.ndarray
+
+
+def _layout(skeleton: _Skeleton, n: int) -> _Layout:
+    """The layout of K_n, n <= the skeleton's size, in O(n^2) arithmetic."""
+    width, lead = skeleton.width[:n], skeleton.lead[:n]
+    rows = (n - 1) * width - lead + _digit_total(n)
+    # Row u starts at first[u], and the color of edge (u, v) is the byte
+    # before the LF of its line:
+    #   first[u] + (v - u) width[u] + digits(u + 1) + ... + digits(v) - 2
+    #   = base[u] + v width[u] + digits(0) + ... + digits(v).
+    first = len(f"{n} 1\n") + np.cumsum(rows) - rows
+    base = (first - lead - 2).astype(skeleton.colex_start.dtype)
+    # Colex row v holds the edges (u, v), u = 0..v-1.  Along it, the last
+    # two terms are constant while the digit count of u is: ``step`` once
+    # per band of u, repeated ``band`` times.
+    u = np.arange(total_edges(n), dtype=base.dtype)
+    u -= np.repeat(skeleton.colex_start[:n], np.arange(n))
+    at = base.take(u)
+    at += np.repeat(skeleton.step[:n].ravel(), skeleton.band[:n].ravel())
+    # Indexing by intp is about twice as fast as by int32.
+    at = at.astype(np.intp)
+    at.flags.writeable = False
+    body, starts = skeleton.body, skeleton.starts
+    return _Layout(n, [body[s : s + r] for s, r in zip(starts, rows[:-1].tolist())], at)
+
+
+# The kept skeleton and the layout of the last K_n written or read (n >= 20,
+# k <= 9), or None before the first.  Replaced by one assignment, so a
+# concurrent caller sees either the old pair or the new one.
+_TEXT_SLOT: Optional[tuple[_Skeleton, _Layout]] = None
+
+
+def _text_slot(n: int) -> tuple[_Skeleton, _Layout]:
+    """The kept pair if it is laid out for K_n; else the kept skeleton,
+    rebuilt larger if it is smaller than K_n, with the layout of K_n."""
     slot = _TEXT_SLOT
-    if slot is None or slot[0] != n:
-        return None
-    _, text, offsets = slot
-    if offsets is None:
-        offsets = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))[1:] - 1
-        offsets.flags.writeable = False
-        _TEXT_SLOT = (n, text, offsets)
-    return text, offsets
+    if slot is not None and slot[1].n == n:
+        return slot
+    if slot is not None and slot[0].size >= n:
+        skeleton = slot[0]
+    else:
+        skeleton = _build_skeleton(-(-n // _SKELETON_STEP) * _SKELETON_STEP)
+    return skeleton, _layout(skeleton, n)
 
 
-def _fill_layout(n: int, k: int, text: bytes, offsets: np.ndarray, colors: np.ndarray) -> bytearray:
-    """A copy of the kept ``text`` with header k and one-digit ``colors``
-    (in 1..9, lexicographic edge order) written in: the canonical text of
-    those colors."""
-    out = bytearray(text)
-    cells = np.frombuffer(out, dtype=np.uint8)
-    cells[len(str(n)) + 1] = ord("0") + k
-    cells[offsets] = colors.astype(np.uint8, copy=False) + ord("0")
-    return out
+def _join_rows(n: int, k: int, layout: _Layout) -> bytearray:
+    """The canonical text of K_n colored all 1, with header k."""
+    return bytearray().join([f"{n} {k}\n".encode("ascii"), *layout.rows])
 
 
 def serialize(c: Coloring) -> str:
@@ -495,8 +595,9 @@ def serialize(c: Coloring) -> str:
     Edges appear in lexicographic order of (u, v); every line ends with LF.
     Numbers are written in plain decimal, separated by one space.
 
-    From K_20 up with k <= 9, the text written becomes the kept layout
-    (``_TEXT_SLOT``), so that reading it back costs a fill, not a rebuild.
+    From K_20 up with k <= 9, the text is joined from the rows of the kept
+    skeleton with the colors written in at the layout's offsets, and that
+    layout is kept, so that reading the text back reuses it.
     """
     global _TEXT_SLOT
     n, k = c.n, c.k
@@ -504,10 +605,12 @@ def serialize(c: Coloring) -> str:
         lines = [f"{n} {k}"]
         lines.extend(f"{u} {v} {col}" for u, v, col in c.edges())
         return "\n".join(lines) + "\n"
-    raw = _text_bytes(n, k, *_lex_edges(c))
-    if k <= 9:
-        _TEXT_SLOT = (n, raw, None)
-    return raw.decode("ascii")
+    if k > 9:
+        return _text_bytes(n, k, *_lex_edges(c)).decode("ascii")
+    slot = _TEXT_SLOT = _text_slot(n)
+    out = _join_rows(n, k, slot[1])
+    np.frombuffer(out, dtype=np.uint8)[slot[1].at] = c.colex_colors().astype(np.uint8) + ord("0")
+    return out.decode("ascii")
 
 
 def _coloring_from_entries(
@@ -575,59 +678,70 @@ def _parse_edge_item(item: object, ln: Optional[int]) -> tuple[int, int, int]:
 def _read_canonical(text: str) -> Optional[Coloring]:
     """The coloring whose ``serialize`` output is exactly ``text``, or None.
 
-    Only the color column is parsed: the whole text is then written again
-    from (n, k, colors) and must come out byte for byte the same, which
-    proves that every other token is what the line-by-line reader would
-    have read.  The line count is compared with n(n-1)/2 before anything
-    sized by n is allocated.  A text of the K_n whose layout ``serialize``
-    keeps, with k <= 9 and the kept length, is read at the kept color
-    offsets and written again by filling a copy of the kept text; an
-    accepted text from K_20 up with k <= 9 becomes the kept layout.  The
-    slot retains one text plus one 8-byte offset per edge.
+    Only the colors are parsed: the whole text is then written again from
+    (n, k, colors) and must come out byte for byte the same, which proves
+    that every other token is what the line-by-line reader would have read.
+    Nothing sized by n is allocated before the text's length (from K_20 up
+    with k <= 9) or line count (otherwise) has matched n.
     """
-    global _TEXT_SLOT
     if not text.isascii():
         return None
     try:
         n, k = (int(tok) for tok in text[: text.index("\n")].split(" "))
     except ValueError:
         return None
+    if n >= _VECTOR_MIN_N and 1 <= k <= 9:
+        return _read_layout(text, n, k)
     edges = total_edges(n)
-    kept = _kept_layout(n) if k <= 9 else None
-    hit = kept is not None and len(kept[0]) == len(text)
-    if hit:
-        raw = text.encode("ascii")
-        colors = np.frombuffer(raw, dtype=np.uint8)[kept[1]] - np.uint8(ord("0"))
-        # Bytes below "0" wrap above 9, so this range check refuses them.
-        if not (1 <= colors.min() and colors.max() <= k):
-            return None
-        if _fill_layout(n, k, *kept, colors) != raw:
-            return None
-    else:
-        if n < 1 or not 0 <= k <= edges or text.count("\n") != edges + 1:
-            return None
-        raw = text.encode("ascii")
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        last = np.flatnonzero(buf == ord("\n"))[1:] - 1
-        # The color is the run of digits before each LF; any other spelling
-        # of the line fails the comparison below.
-        colors = np.zeros(edges, dtype=np.int64)
-        digit = np.ones(edges, dtype=bool)
-        for place in range(len(str(k))):
-            value = buf[last - place].astype(np.int64) - ord("0")
-            digit &= (value >= 0) & (value <= 9)
-            colors += np.where(digit, value, 0) * 10**place
-        if edges and not (1 <= colors.min() and colors.max() <= k):
-            return None
-        u, v, _ = _lex_order(n)
-        if _text_bytes(n, k, u, v, colors) != raw:
-            return None
+    if n < 1 or not 0 <= k <= edges or text.count("\n") != edges + 1:
+        return None
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    last = np.flatnonzero(buf == ord("\n"))[1:] - 1
+    # The color is the run of digits before each LF; any other spelling
+    # of the line fails the comparison below.
+    colors = np.zeros(edges, dtype=np.int64)
+    digit = np.ones(edges, dtype=bool)
+    for place in range(len(str(k))):
+        value = buf[last - place].astype(np.int64) - ord("0")
+        digit &= (value >= 0) & (value <= 9)
+        colors += np.where(digit, value, 0) * 10**place
+    if edges and not (1 <= colors.min() and colors.max() <= k):
+        return None
+    u, v, at = _lex_order(n)
+    if _text_bytes(n, k, u, v, colors) != raw:
+        return None
     colex = np.empty(edges, dtype=np.int32)
-    colex[_lex_order(n)[2]] = colors
-    c = Coloring(n, colex, k=k)
-    if not hit and n >= _VECTOR_MIN_N and k <= 9:
-        last.flags.writeable = False
-        _TEXT_SLOT = (n, raw, last)
+    colex[at] = colors
+    return Coloring(n, colex, k=k)
+
+
+def _read_layout(text: str, n: int, k: int) -> Optional[Coloring]:
+    """``_read_canonical`` for n >= 20 and k <= 9: the colors are read at
+    the offsets of the layout of K_n and written into its rows joined.
+
+    The layout of an accepted text is kept; a refused one leaves the kept
+    skeleton and layout as they were.
+    """
+    global _TEXT_SLOT
+    # A header that claims a huge n is refused here, before anything is
+    # built for it.
+    if len(text) != _text_length(n, k):
+        return None
+    slot = _text_slot(n)
+    at = slot[1].at
+    raw = text.encode("ascii")
+    digits = np.frombuffer(raw, dtype=np.uint8)[at]
+    colors = digits - np.uint8(ord("0"))
+    # Bytes below "0" wrap above 9, so this range check refuses them.
+    if not (1 <= colors.min() and colors.max() <= k):
+        return None
+    out = _join_rows(n, k, slot[1])
+    np.frombuffer(out, dtype=np.uint8)[at] = digits
+    if out != raw:
+        return None
+    c = Coloring(n, colors, k=k)
+    _TEXT_SLOT = slot
     return c
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from gallai import construct, oracle
+from gallai import construct, generator, oracle
 from gallai.cli import main
 from gallai.core import InternalScheduleError, deserialize
 from gallai.verify import class_sizes, is_gallai
@@ -236,6 +236,16 @@ class TestRandomAndDot:
         code, stdout, stderr = run(capsys, "random", "--seed", "1", *argv)
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: need ")
+
+    def test_out_of_memory_is_unknown(self, monkeypatch, capsys):
+        # What an N x N matrix for N = 10^5 would raise; nothing is allocated.
+        def too_big(n, seed, max_colors):
+            raise MemoryError
+
+        monkeypatch.setattr(generator, "random_gallai", too_big)
+        code, stdout, stderr = run(capsys, "random", "--n", "100000", "--seed", "1")
+        assert code == 3 and stdout == ""
+        assert stderr == "error: out of memory; no answer was reached\n"
 
     def test_export_dot(self, tmp_path, capsys):
         out = tmp_path / "c.coloring"

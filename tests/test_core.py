@@ -238,9 +238,13 @@ class TestSerialization:
     def test_huge_header_without_edges_fails_at_once(self):
         # The entry count is checked against n(n-1)/2 before anything is
         # allocated; building the edge list first would ask for ~5*10^9 slots.
+        serialize(_k_colored(20, 3, 0))
+        kept = core._TEXT_SLOT
         with pytest.raises(InvariantViolation) as exc:
             deserialize("100000 1\n")
         assert exc.value.line == 1
+        # The text length is checked before a skeleton of K_100000 is built.
+        assert core._TEXT_SLOT is kept
         with pytest.raises(InvariantViolation):
             deserialize_json('{"n": 100000, "k": 1, "edges": []}')
 
@@ -321,7 +325,7 @@ def _join_lines(text: str, k: int) -> str:
 
 
 # Mutations that keep the length of a text of K_30 with one-digit colors, so
-# the reader takes the kept layout; line 200 is an edge line.
+# the reader reads it at the layout's offsets; line 200 is an edge line.
 SAME_LENGTH = {
     "vertex digit": _set_line(200, lambda ln, k: ln[:-3] + str(int(ln[-3]) ^ 1) + ln[-2:]),
     "first vertex digit": _set_line(1, lambda ln, k: "1" + ln[1:]),
@@ -347,13 +351,28 @@ class TestVectorizedText:
     def test_kept_layout_refuses_what_the_line_reader_refuses(self, mutation, k):
         c = _k_colored(30, k, seed=k)
         text = serialize(c)
-        assert core._TEXT_SLOT[0] == 30
+        assert core._TEXT_SLOT[1].n == 30
         assert deserialize(text) == c
         mutated = SAME_LENGTH[mutation](text, k)
         assert len(mutated) == len(text) and mutated != text
         assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
         # The kept layout still reads its own K_n afterwards.
         assert deserialize(text) == c
+
+    @pytest.mark.parametrize("mutation", sorted(SAME_LENGTH))
+    def test_smaller_text_refuses_what_the_line_reader_refuses(self, mutation):
+        # The layout of K_30 over a skeleton larger than the one K_30 alone
+        # would build.
+        serialize(_k_colored(130, 4, seed=1))
+        skeleton = core._TEXT_SLOT[0]
+        assert skeleton.size > core._SKELETON_STEP
+        c = _k_colored(30, 5, seed=2)
+        text = serialize(c)
+        assert core._TEXT_SLOT[0] is skeleton
+        mutated = SAME_LENGTH[mutation](text, 5)
+        assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
+        assert deserialize(text) == c
+        assert core._TEXT_SLOT[0] is skeleton
 
     def test_round_trip_across_sizes_and_color_widths(self):
         steps = [(20, 9), (20, 10), (20, 9), (45, 3), (20, 1), (20, 12), (45, 9),
@@ -373,10 +392,13 @@ class TestVectorizedText:
         def rebuild(*args):
             raise AssertionError("the text was rebuilt")
 
-        monkeypatch.setattr(core, "_text_bytes", rebuild)
+        for name in ("_text_bytes", "_build_skeleton", "_layout", "_lex_order"):
+            monkeypatch.setattr(core, name, rebuild)
         assert deserialize(text) == first
-        # A text of the same K_n that is not the kept one is a fill too.
+        # A text of the same K_n that is not the kept one reuses it too.
         assert deserialize(other) == second
+        # So does a write of that K_n.
+        assert serialize(second) == other
 
     def test_refused_text_is_not_kept(self, monkeypatch):
         text = serialize(_k_colored(25, 3, 0))
@@ -385,6 +407,45 @@ class TestVectorizedText:
         with pytest.raises(InvariantViolation):
             deserialize(text.replace("25 3", "25 4", 1))
         assert core._TEXT_SLOT is None
+        # A refused text of a larger K_n leaves the smaller skeleton kept.
+        text = serialize(_k_colored(150, 3, 0))
+        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        kept = core._text_slot(25)
+        assert kept[0].size < 150
+        monkeypatch.setattr(core, "_TEXT_SLOT", kept)
+        with pytest.raises(InvariantViolation):
+            deserialize(text.replace("150 3", "150 4", 1))
+        assert core._TEXT_SLOT is kept
+
+    def test_rebuild_points_in_both_directions(self, monkeypatch):
+        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        step = core._SKELETON_STEP
+        sizes = [20, 63, 64, 65, step - 1, step, step + 1, 2 * step, 2 * step + 1]
+        size = seed = 0
+        for n in sizes + sizes[::-1]:
+            for k in (1, 9, 10, 12):
+                seed += 1
+                c = _k_colored(n, k, seed)
+                text = serialize(c)
+                assert text == _fstring_serialize(c)
+                assert deserialize(text) == c
+                if k <= 9:
+                    # Built for the next multiple of the step above the
+                    # largest K_n so far, never smaller.
+                    size = max(size, -(-n // step) * step)
+                    assert (core._TEXT_SLOT[0].size, core._TEXT_SLOT[1].n) == (size, n)
+        assert size == 3 * step
+
+    def test_int64_offsets_give_the_same_text(self, monkeypatch):
+        # Texts of 2^31 bytes or more, from K_18328 up, are laid out in int64.
+        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        monkeypatch.setattr(core, "_INT32_TEXT", 0)
+        c = _k_colored(120, 6, 3)
+        text = serialize(c)
+        assert core._TEXT_SLOT[0].colex_start.dtype == np.int64
+        assert text == _fstring_serialize(c)
+        assert deserialize(text) == c
+        assert core._text_length(18327, 1) < 2**31 <= core._text_length(18328, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 300])
     def test_writer_is_byte_identical(self, n):
