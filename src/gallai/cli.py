@@ -38,13 +38,19 @@ def _parse_dist(raw: str) -> list[int]:
         raise PreconditionViolated(f"--dist expects a comma-separated integer list, got {raw!r}")
 
 
-def _emit_coloring(c: Coloring, out: Optional[str]) -> None:
-    text = serialize(c)
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_coloring(c: Coloring, out: Optional[str], what: str = "coloring") -> None:
+    """Write ``c`` to ``out``, saying so, or to stdout."""
+    _write(serialize(c), out)
+    if out:
+        print(f"{what} written to {out}")
 
 
 def _load_coloring(path: str) -> Coloring:
@@ -65,8 +71,6 @@ def _cmd_construct(args) -> int:
               + (f" ({result.detail})" if result.detail else ""))
         return EXIT_UNKNOWN if result.reason == "unknown" else EXIT_NEGATIVE
     _emit_coloring(result, args.out)
-    if args.out:
-        print(f"coloring written to {args.out}")
     return EXIT_OK
 
 
@@ -74,16 +78,12 @@ def _cmd_construct_div(args) -> int:
     params = DivisionParams(n=args.n, k=args.k, p=args.p, q=args.q)
     c = construct.construct_division(params)
     _emit_coloring(c, args.out)
-    if args.out:
-        print(f"coloring written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_construct_balanced(args) -> int:
     c = construct.construct_balanced(args.n, args.k)
     _emit_coloring(c, args.out)
-    if args.out:
-        print(f"coloring written to {args.out}")
     return EXIT_OK
 
 
@@ -119,8 +119,7 @@ def _cmd_oracle(args) -> int:
     print(f"{verdict.tag} (nodes explored: {verdict.nodes_explored})")
     if verdict.is_feasible and args.out:
         assert verdict.witness is not None
-        _emit_coloring(verdict.witness, args.out)
-        print(f"witness written to {args.out}")
+        _emit_coloring(verdict.witness, args.out, "witness")
     if verdict.is_feasible:
         return EXIT_OK
     return EXIT_NEGATIVE if verdict.is_infeasible else EXIT_UNKNOWN
@@ -151,8 +150,6 @@ def _cmd_compute_g(args) -> int:
 def _cmd_random(args) -> int:
     c, _blocks = generator.random_gallai(args.n, args.seed, args.max_colors)
     _emit_coloring(c, args.out)
-    if args.out:
-        print(f"coloring written to {args.out}")
     return EXIT_OK
 
 
@@ -161,12 +158,7 @@ def _cmd_export_dot(args) -> int:
     lines = ["graph coloring {"]
     lines.extend(f"  {u} -- {v} [color={col}];" for u, v, col in c.edges())
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ label partition, ``InternalScheduleError`` for wrong class sizes).
 From K_{g(k)} up, for the k whose threshold g(k) is known (``_THRESHOLDS``),
 a distribution is peeled down to K_{g(k)} and its base has no schedule of
 its own: it asks ``oracle.search_realizable``, which tries star search and
-then its table of Gallai substitutions, and certifies a table witness.
+then its table of Gallai substitutions, and certifies its witness.  Below
+K_9 outside the guaranteed regions, ``construct_any`` returns the oracle's
+certified answer as it is.
 
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: the class sizes and either speciality, where promised, or
@@ -483,7 +485,7 @@ def _lex_fill(n: int, sizes: Sequence[int]) -> Coloring:
 # General k: the quadratic-threshold construction
 # ---------------------------------------------------------------------------
 
-def construct_gk_general(d: Distribution, stats: Optional[dict] = None) -> Coloring:
+def construct_gk_general(d: Distribution) -> Coloring:
     """Any k-part distribution once n reaches 8k^2 + 1.
 
     Above the threshold the instance is peeled down to it; at the threshold
@@ -497,29 +499,20 @@ def construct_gk_general(d: Distribution, stats: Optional[dict] = None) -> Color
     threshold = 8 * k * k + 1
     if n < threshold:
         raise PreconditionViolated(f"need n >= 8k^2+1 = {threshold}, got n={n}")
-    if stats is not None:
-        stats.setdefault("levels", [])
-        stats.setdefault("peeled_to_threshold", n - threshold)
-    return _checked(_gk_general(d, stats), d)
+    return _checked(_gk_general(d), d)
 
 
-def _gk_general(d: Distribution, stats: Optional[dict]) -> Coloring:
+def _gk_general(d: Distribution) -> Coloring:
     """Unchecked body of construct_gk_general (preconditions already hold)."""
-    k, n = d.k, d.n
-    threshold = 8 * k * k + 1
-    if n > threshold:
-        base, log = peel_reduction(d, threshold)
-        if base.k == k:
-            inner = _gk_general(base, stats)
-        else:
-            inner = _construct_guaranteed(base)
-        return replay_peel(inner, d, log)
-    if k == 3:
-        return _construct_guaranteed(d)
-    return _gk_phases(d, stats)
+    threshold = 8 * d.k * d.k + 1
+    if d.n == threshold:
+        return _gk_phases(d)
+    base, log = peel_reduction(d, threshold)
+    inner = _gk_general(base) if base.k == d.k else _construct_guaranteed(base)
+    return replay_peel(inner, d, log)
 
 
-def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
+def _gk_phases(d: Distribution) -> Coloring:
     k, n = d.k, d.n
     sizes = list(d.sizes)  # color i  <->  sizes[i-1]
     arr = np.zeros(total_edges(n), dtype=np.int32)
@@ -553,10 +546,6 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     e1_rest = sizes[0] - cost1
     if e1_rest < 0:
         raise InternalScheduleError(f"largest class too small: n={n}, k={k}, deficit={-e1_rest}")
-    if stats is not None:
-        stats["levels"].append(
-            {"k": k, "n": n, "phase1_stars": stars, "block_size": block, "block_color_k": e_small}
-        )
     rest = [(e1_rest, 1)] + [(sizes[i], i + 1) for i in range(1, k - 1)]
     rest = [(s, col) for s, col in rest if s > 0]
     sub = canonicalize([s for s, _ in rest], n_rest)
@@ -570,23 +559,23 @@ def _gk_phases(d: Distribution, stats: Optional[dict]) -> Coloring:
     return Coloring(n, arr)
 
 
-def _construct_guaranteed(d: Distribution, stats: Optional[dict] = None) -> Coloring:
+def _construct_guaranteed(d: Distribution) -> Coloring:
     """Builder for the regions where success is unconditional.
 
     For k in ``_THRESHOLDS``, d is peeled to K_{g(k)} (``peel_reduction``
-    refuses n < g(k)) and the base comes from ``oracle.search_realizable``.
+    refuses n < g(k)).  A base with k classes comes from
+    ``oracle.search_realizable``; one with fewer, such as (5,5)/K_5 from
+    (5,5,5)/K_6, from this builder.
     """
-    k, n = d.k, d.n
-    if k == 0:
-        return Coloring(n, ())
+    k = d.k
     if k <= 2:
-        return _lex_fill(n, d.sizes)
+        return _lex_fill(d.n, d.sizes)
     g = _THRESHOLDS.get(k)
     if g is None:
-        return _gk_general(d, stats)
+        return _gk_general(d)
     base, log = peel_reduction(d, g)
-    if base.k < k:  # only (5,5,5)/K_6 peels to fewer classes: (5,5)/K_5
-        return replay_peel(_lex_fill(g, base.sizes), d, log)
+    if base.k < k:
+        return replay_peel(_construct_guaranteed(base), d, log)
     witness = oracle.search_realizable(base).witness
     if witness is None:
         raise InternalScheduleError(f"no coloring found for {base} (expected total)")
@@ -638,12 +627,12 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
 
     Guaranteed regions: k <= 2 always; n >= g(k) for each k in
     ``_THRESHOLDS`` (g(3) = 5, g(4) = 8), by peeling to K_{g(k)}; any other
-    k with n >= 8k^2+1.  Outside them the necessary condition
-    is checked first, then a star-partition search, then (for n <= 8) the
-    oracle, whose table of Gallai substitutions holds every count vector of
-    K_n and so decides exactly; its witness is a substitution, not a
-    special coloring.  Larger n outside the guaranteed regions stay
-    ``unknown`` when star search finds nothing.
+    k with n >= 8k^2+1.  Outside them the necessary condition is checked
+    first.  For n <= 8 ``oracle.search_realizable`` then decides exactly:
+    star search, then its table of Gallai substitutions, which holds every
+    count vector of K_n; a table witness is a substitution, not a special
+    coloring.  Larger n get a star-partition search alone and stay
+    ``unknown`` when it finds nothing.
     """
     k, n = d.k, d.n
     if k <= 2 or n >= _THRESHOLDS.get(k, 8 * k * k + 1):
@@ -651,19 +640,16 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
     ok, ell = verify.check_necessary(d)
     if not ok:
         return NotConstructed("necessary-condition failure", f"prefix bound fails at l={ell}")
+    if n <= 8:
+        # With no budget and no deadline the oracle always decides.
+        witness = oracle.search_realizable(d).witness
+        if witness is None:
+            return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
+        return witness
     try:
         sp = star_partition_for(d, max_nodes=2_000_000)
     except BudgetExceeded:
         return NotConstructed("unknown", "star partition search exceeded its budget")
-    if sp is not None:
-        return _checked(special_coloring(sp), d)
-    if n <= 8:
-        # Star search has just failed, so only the oracle's table step is
-        # left; it certifies its witness.
-        verdict = oracle._table_verdict(d, None, None)
-        if verdict.witness is not None:
-            return verdict.witness
-        # With no budget and no deadline the table step always decides.
-        assert verdict.is_infeasible
-        return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
-    return NotConstructed("unknown", "no special coloring found and n too large for the oracle")
+    if sp is None:
+        return NotConstructed("unknown", "no special coloring found and n too large for the oracle")
+    return _checked(special_coloring(sp), d, special=True)

@@ -317,20 +317,9 @@ def search_realizable(
     if sp is not None:
         witness = construct._checked(construct.special_coloring(sp), d, special=True)
         return Verdict("feasible", witness, 0)
-    return _table_verdict(d, max_nodes, deadline)
-
-
-def _table_verdict(
-    d: Distribution, max_nodes: Optional[int], deadline: Optional[float]
-) -> Verdict:
-    """The table step of ``search_realizable``, after star search: the
-    verdict of ``_structural``, its witness certified by ``_checked``."""
-    from . import construct
-
     tag, colors, nodes = _structural(d.n, d.sizes, max_nodes, deadline)
     if tag == "feasible":
-        assert colors is not None
-        return Verdict("feasible", construct._checked(Coloring(d.n, colors), d), nodes)
+        return Verdict(tag, construct._checked(Coloring(d.n, colors), d), nodes)
     return Verdict(tag, None, nodes)
 
 

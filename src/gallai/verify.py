@@ -290,26 +290,6 @@ def _blocks_for_pair(c: Coloring, a: int, b: int) -> list[list[int]]:
     return sorted(comp.values(), key=lambda blk: blk[0])
 
 
-def _pair_colors(c: Coloring, blocks: list[list[int]]) -> Optional[dict[tuple[int, int], int]]:
-    """Color of each block pair if every pair is monochromatic, else None."""
-    owner = {}
-    for bi, blk in enumerate(blocks):
-        for v in blk:
-            owner[v] = bi
-    reduced: dict[tuple[int, int], int] = {}
-    for u, v, col in c.edges():
-        bu, bv = owner[u], owner[v]
-        if bu == bv:
-            continue
-        key = (bu, bv) if bu < bv else (bv, bu)
-        prev = reduced.get(key)
-        if prev is None:
-            reduced[key] = col
-        elif prev != col:
-            return None
-    return reduced
-
-
 def _partition_from(blocks: list[list[int]], reduced: dict[tuple[int, int], int]) -> GallaiPartition:
     return GallaiPartition(
         blocks=tuple(tuple(blk) for blk in blocks),
@@ -342,8 +322,12 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
         blocks = _blocks_for_pair(c, a, b)
         if len(blocks) < 2:
             continue
-        reduced = _pair_colors(c, blocks)
-        if reduced is None or len(set(reduced.values())) > 2:
+        # One edge per block pair; validate_gallai_partition checks the rest.
+        reduced = {
+            (i, j): c.edge_color(blocks[i][0], blocks[j][0])
+            for j in range(len(blocks)) for i in range(j)
+        }
+        if len(set(reduced.values())) > 2:
             continue
         gp = _partition_from(blocks, reduced)
         if validate_gallai_partition(c, gp):

@@ -46,7 +46,7 @@ class TestConstruct:
         assert stdout.splitlines()[-1].startswith("not constructed: unknown")
 
     def test_internal_error_is_unknown(self, monkeypatch, capsys):
-        def broken(d, stats=None):
+        def broken(d):
             raise InternalScheduleError("schedule broke")
 
         monkeypatch.setattr(construct, "_construct_guaranteed", broken)
@@ -168,7 +168,7 @@ class TestOracle:
         def broken(*args):
             raise InternalScheduleError("table witness broke")
 
-        monkeypatch.setattr(oracle, "_table_verdict", broken)
+        monkeypatch.setattr(oracle, "_structural", broken)
         # No star partition realizes (8,3,3,1)/K_6, so the table step runs.
         code, stdout, stderr = run(capsys, "oracle", "--n", "6", "--dist", "8,3,3,1")
         assert code == 3

@@ -450,32 +450,49 @@ class TestK4Base:
 
 
 class TestGkGeneral:
+    @staticmethod
+    def _row(c: Coloring, v: int):
+        """The colors of the down-edges of v, to 0..v-1."""
+        start = v * (v - 1) // 2
+        return c.colex_colors()[start : start + v]
+
     def test_k3_threshold(self):
+        # Peeled stars of the smallest class (color 3) on top, then the
+        # block of 4k+1 = 13 vertices joined to the rest in color 1.
         d = canonicalize([876, 876, 876], 73)
-        verified(construct_gk_general(d), d.sizes)
+        c = construct_gk_general(d)
+        verified(c, d.sizes)
+        top = [set(self._row(c, v).tolist()) for v in range(60, 73)]
+        assert top == [{3}] * 13
+        assert set(self._row(c, 59)[:47].tolist()) == {1}
 
     def test_k4_threshold_skewed(self):
-        stats: dict = {}
+        # A class of one edge is smaller than any spanning star: nothing is
+        # peeled, and its edge lies inside the block of the top 17 vertices.
         d = canonicalize([total_edges(129) - 3, 1, 1, 1], 129)
-        c = construct_gk_general(d, stats)
+        c = construct_gk_general(d)
         verified(c, d.sizes)
-        level = stats["levels"][0]
-        assert level["phase1_stars"] == 0
-        assert level["block_color_k"] == 1
+        assert set(self._row(c, 128).tolist()) != {4}
+        colors = c.colex_colors()
+        assert (colors == 4).sum() == 1
+        assert all((self._row(c, v)[:112] != 4).all() for v in range(112, 129))
 
     def test_k5_balanced_star_budget(self):
-        stats: dict = {}
+        # 200 + 199 + ... + 180 <= 4020 < 200 + ... + 179: exactly the top
+        # 21 rows are peeled stars of color 5.
         d = canonicalize(balanced_sizes(201, 5), 201)
-        c = construct_gk_general(d, stats)
+        c = construct_gk_general(d)
         verified(c, d.sizes)
-        assert stats["levels"][0]["phase1_stars"] <= 25
+        assert all(set(self._row(c, v).tolist()) == {5} for v in range(180, 201))
+        assert set(self._row(c, 179).tolist()) != {5}
 
     def test_above_threshold_peels_first(self):
-        stats: dict = {}
+        # K_80 peels seven stars down to K_73; replay_peel puts them back on
+        # top, each a one-color row.
         d = canonicalize(balanced_sizes(80, 3), 80)
-        c = construct_gk_general(d, stats)
+        c = construct_gk_general(d)
         verified(c, d.sizes)
-        assert stats["peeled_to_threshold"] == 7
+        assert all(len(set(self._row(c, v).tolist())) == 1 for v in range(73, 80))
 
     def test_below_threshold_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -598,6 +615,55 @@ class TestConstructAny:
                         assert verdict.is_feasible
                     else:
                         assert verdict.is_infeasible
+
+    @staticmethod
+    def _pinned_requests():
+        yield (), 1  # K_1: no class at all
+        yield (1,), 2
+        for n in (5, 8, 20):  # two colors: the lexicographic fill
+            for sizes in partitions(total_edges(n), 2):
+                yield sizes, n
+        # Every k-part distribution of K_3..K_8 with k >= 3: the K_5 and K_8
+        # bases through star search and the table, (8,3,3,1)/K_6 through
+        # the table, star search and the table below the thresholds, and
+        # the necessary-condition and fallback-exhausted refusals.
+        for n in range(3, 9):
+            for k in range(3, n + 1):
+                for sizes in partitions(total_edges(n), k):
+                    yield sizes, n
+        yield (5, 5, 5), 6  # peels to the two-color (5,5)/K_5
+        yield (11, 5, 5), 7
+        for n in (9, 12):
+            yield balanced_sizes(n, 3), n
+            yield balanced_sizes(n, 4), n
+        for n in range(201, 216):  # the 8k^2+1 construction for k = 5
+            yield balanced_sizes(n, 5), n
+        yield (11153, 4900, 1683, 1638, 1129), 203
+        for n in range(12, 41):  # best-effort star search
+            yield balanced_sizes(n, 5), n
+            yield balanced_sizes(n, 6), n
+        yield (57, 38, 23, 20, 19, 12, 1, 1), 19  # unknown: n too large for the oracle
+
+    def test_every_route_keeps_its_bytes(self):
+        # The digest of every answer over a fixed list of requests that
+        # takes each route of construct_any; a refactor of the routing must
+        # leave it as it is.
+        import hashlib
+
+        from gallai.core import serialize
+
+        h = hashlib.sha256()
+        reasons = set()
+        for sizes, n in self._pinned_requests():
+            got = construct_any(canonicalize(sizes, n))
+            if isinstance(got, NotConstructed):
+                reasons.add(got.reason)
+                text = repr(got)
+            else:
+                text = serialize(got)
+            h.update(f"{n}:{sizes}\n{text}\n".encode())
+        assert reasons == {"necessary-condition failure", "fallback exhausted", "unknown"}
+        assert h.hexdigest() == "c2ebc2156d6d61505ec8e951770a8961a8af777bed736438d1d346d993687dab"
 
 
 class TestWorkCounts:
