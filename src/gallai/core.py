@@ -8,7 +8,6 @@ makes star-shaped updates cheap.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -399,20 +398,15 @@ class Verdict:
 # Serialization
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
 def _lex_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges (u, v), u < v, of K_n in lexicographic order: the arrays u
     and v and each edge's colex index v(v-1)/2 + u.
 
     u and v are int32 to keep the temporaries small; the index is int64
-    because v(v-1) leaves the int32 range for n above 46,342.  Kept for the
-    last n asked, so the arrays are read-only.
+    because v(v-1) leaves the int32 range for n above 46,342.
     """
     u, v = (a.astype(np.int32) for a in np.triu_indices(n, 1))
-    out = u, v, v.astype(np.int64) * (v - 1) // 2 + u
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return u, v, v.astype(np.int64) * (v - 1) // 2 + u
 
 
 def _lex_edges(c: Coloring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

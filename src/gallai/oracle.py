@@ -24,6 +24,10 @@ crossing pairs share one color, merging the blocks on each side gives a
 level takes every 2-block decomposition in one cross color and every one
 with m >= 4 blocks in two distinct cross colors, and no others.
 
+``compute_g`` asks ``search_realizable`` about the k-part distributions of
+K_n one at a time, keeping no witness, and moves on to n + 1 at the first
+infeasible one; the first n with none is the threshold.
+
 An independent second method, an edge-by-edge backtracking search, lives
 with the tests (``tests/conftest.py``) and checks the table there.
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import combinations, groupby
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -81,44 +86,24 @@ def _desc_order(w) -> list[int]:
 
 def _runs(y: Vector) -> tuple[int, ...]:
     """Lengths of the runs of equal values in the sorted vector ``y``."""
-    runs: list[int] = []
-    for i, value in enumerate(y):
-        if i and value == y[i - 1]:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    return tuple(runs)
-
-
-def _choose(counts: tuple[int, ...], size: int):
-    """Ways to take ``size`` items from groups of ``counts`` alike items."""
-    if not counts:
-        if size == 0:
-            yield ()
-        return
-    for take in range(min(counts[0], size), -1, -1):
-        for rest in _choose(counts[1:], size - take):
-            yield (take,) + rest
+    return tuple(len(list(run)) for _, run in groupby(y))
 
 
 def _spreads(x: Vector, runs: tuple[int, ...]) -> list[Vector]:
-    """The permutations of ``x`` that are non-increasing on each run.
+    """The permutations of the sorted ``x`` that are non-increasing on each
+    run, in descending order: the order decides which recipe a level keeps.
 
     Added to a sorted vector with those runs, they reach every orbit
     (under color permutation) of its sums with a permutation of ``x``.
     """
-    values = sorted(set(x), reverse=True)
+    if not runs:
+        return [()]
     out: list[Vector] = []
-
-    def rec(i: int, counts: tuple[int, ...], acc: Vector) -> None:
-        if i == len(runs):
-            out.append(acc)
-            return
-        for takes in _choose(counts, runs[i]):
-            block = tuple(v for v, t in zip(values, takes) for _ in range(t))
-            rec(i + 1, tuple(c - t for c, t in zip(counts, takes)), acc + block)
-
-    rec(0, tuple(x.count(v) for v in values), ())
+    for block in sorted(set(combinations(x, runs[0])), reverse=True):
+        rest = list(x)
+        for v in block:
+            rest.remove(v)
+        out += [block + tail for tail in _spreads(tuple(rest), runs[1:])]
     return out
 
 
@@ -193,18 +178,15 @@ def _fill_level(
         shares = [e for e in reach if 0 < e and 2 * e <= total]
         for y, parts in fold.items():
             _tick(deadline)
-            heads, at = [], 0
-            for length in _runs(y):
-                heads.append((at, length))
-                at += length
+            heads = [i for i, v in enumerate(y) if i == 0 or v != y[i - 1]]
             if len(sizes) == 2:
-                for a, _ in heads:
+                for a in heads:
                     v = list(y)
                     v[a] += total
                     add(v, sizes, parts, total, a, a)
                 continue
-            colors = [(a, b) for a, _ in heads for b, _ in heads if a != b]
-            colors += [(a, a + 1) for a, length in heads if length > 1]
+            colors = [(a, b) for a in heads for b in heads if a != b]
+            colors += [(a, a + 1) for a in heads if a + 1 < len(y) and y[a + 1] == y[a]]
             for a, b in colors:
                 for e in shares:
                     v = list(y)
@@ -386,17 +368,22 @@ def compute_g(
     """Smallest n <= n_max where every k-part distribution is realizable.
 
     Thanks to the monotone star-extension property, the first fully
-    feasible n is the threshold itself.  Returns None (unknown) when a
-    budget prevents classification or n_max is exhausted.
+    feasible n is the threshold itself.  Each n is classified one verdict
+    at a time, keeping no witness, and left at its first infeasible
+    distribution.  Returns None (unknown) when a budget prevents
+    classification or n_max is exhausted; an infeasible verdict at n still
+    moves on to n + 1 past an earlier unknown one.
     """
     if k < 3:
         raise PreconditionViolated(f"the threshold is only defined for k >= 3, got k={k}")
     _check_budgets(max_nodes, max_ms)
     for n in range(max(2, 2 * k - 2), n_max + 1):
-        result = enumerate_realizable(n, k, max_nodes=max_nodes, max_ms=max_ms)
-        if result.infeasible:
-            continue
-        if result.unknown:
-            return None
-        return n
+        unknown = False
+        for sizes in partitions(total_edges(n), k):
+            verdict = search_realizable(canonicalize(sizes, n), max_nodes=max_nodes, max_ms=max_ms)
+            if verdict.is_infeasible:
+                break
+            unknown = unknown or verdict.is_unknown
+        else:
+            return None if unknown else n
     return None

@@ -76,7 +76,7 @@ class TestInvariants:
     def test_cover_bound_and_necessary_condition(self, n, seed):
         c, _ = random_gallai(n, seed, 5)
         for ell in range(1, c.k + 1):
-            _, total = top_l_cover(c, ell, check=False)
+            _, total = top_l_cover(c, ell)
             assert total >= sum(n - j for j in range(1, ell + 1))
         ok, _ = check_necessary(class_sizes(c))
         assert ok

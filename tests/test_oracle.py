@@ -1,4 +1,7 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import _backtrack
 from gallai.core import PreconditionViolated, canonicalize, total_edges
@@ -119,6 +122,23 @@ class TestComputeG:
         with pytest.raises(PreconditionViolated):
             compute_g(2, 10)
 
+    def test_stops_at_the_first_infeasible(self, monkeypatch):
+        from gallai import oracle
+
+        calls = []
+        real = oracle.search_realizable
+
+        def search(d, **budgets):
+            calls.append(d)
+            return real(d, **budgets)
+
+        monkeypatch.setattr(oracle, "search_realizable", search)
+        assert compute_g(4, 8) == 8
+        # Not k = 3: (2,2,2), the one infeasible 3-part distribution of K_4,
+        # is the last of its three.
+        every = sum(len(list(partitions(total_edges(n), 4))) for n in (6, 7, 8))
+        assert len(calls) < every
+
 
 class TestSoundness:
     def test_every_feasible_witness_verifies(self):
@@ -177,6 +197,27 @@ class TestWitnessCheck:
 
 class TestStructural:
     """The substitution table against the backtracker, and its budgets."""
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda k: st.tuples(*[st.lists(st.integers(0, 4), min_size=k, max_size=k)] * 2)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spreads_are_the_run_sorted_permutations(self, pair):
+        # Both the set and the order: the order decides which recipe each
+        # level stores.
+        from gallai import oracle
+
+        x, y = (tuple(sorted(v, reverse=True)) for v in pair)
+        runs = oracle._runs(y)
+        cuts = [sum(runs[:i]) for i in range(len(runs) + 1)]
+
+        def run_sorted(p):
+            return all(list(p[a:b]) == sorted(p[a:b], reverse=True) for a, b in zip(cuts, cuts[1:]))
+
+        want = sorted({p for p in permutations(x) if run_sorted(p)}, reverse=True)
+        assert oracle._spreads(x, runs) == want
 
     def test_agrees_with_backtracking(self):
         from gallai import oracle

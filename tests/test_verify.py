@@ -403,6 +403,107 @@ class TestGallaiPartition:
             assert validate_gallai_partition(c, gp)
         assert 0 < rainbow_free < 4**6
 
+    def test_components_match_a_graph_search(self):
+        # Random paths make long label chains; sparse graphs leave many
+        # components.
+        rng = np.random.default_rng(3)
+        graphs = []
+        for n in (2, 50, 300):
+            perm = rng.permutation(n)
+            path = np.zeros((n, n), dtype=bool)
+            path[perm[:-1], perm[1:]] = True
+            graphs.append(path)
+            graphs.append(rng.random((n, n)) < 1.5 / n)
+        for adj in graphs:
+            adj = adj | adj.T
+            want = np.full(len(adj), -1)
+            for s in range(len(adj)):
+                stack = [s] if want[s] < 0 else []
+                while stack:
+                    v = stack.pop()
+                    if want[v] < 0:
+                        want[v] = s
+                        stack += np.flatnonzero(adj[v]).tolist()
+            assert verify._components(adj).tolist() == want.tolist()
+
+    def test_partitions_keep_their_bytes(self):
+        # The digest of every answer over generator output on K_2..K_41 and
+        # every compacted three-color array on K_4; a change to how blocks
+        # are found must leave it as it is.
+        import hashlib
+
+        colorings = [random_gallai(n, n)[0] for n in range(2, 42)]
+        colorings += [Coloring(4, compact_colors(list(raw))) for raw in product(range(1, 4), repeat=6)]
+        h = hashlib.sha256()
+        for c in colorings:
+            try:
+                gp = find_gallai_partition(c)
+                text = f"{gp.blocks}{sorted(gp.cross_colors)}{gp.reduced}"
+            except NotFound:
+                text = "NotFound"
+            h.update(f"{text}\n".encode())
+        assert h.hexdigest() == "099c579564993240d608c6367fc3f75e3cb9f10347abe7ba016f3348139acfa6"
+
+    @staticmethod
+    def _loop_validate(c, gp):
+        """validate_gallai_partition edge by edge: the reference."""
+        if gp.m < 2 or len(gp.cross_colors) > 2:
+            return False
+        owner = {}
+        for bi, blk in enumerate(gp.blocks):
+            if not blk:
+                return False
+            for v in blk:
+                if v in owner or not (0 <= v < c.n):
+                    return False
+                owner[v] = bi
+        if len(owner) != c.n:
+            return False
+        reduced = {(i, j): col for i, j, col in gp.reduced}
+        if set(reduced.values()) - gp.cross_colors:
+            return False
+        if set(reduced) != {(i, j) for i in range(gp.m) for j in range(i + 1, gp.m)}:
+            return False
+        return all(
+            owner[u] == owner[v] or reduced[min(owner[u], owner[v]), max(owner[u], owner[v])] == col
+            for u, v, col in c.edges()
+        )
+
+    def test_validator_matches_the_edge_loop(self):
+        # Found partitions and altered ones: a vertex moved, a pair
+        # recolored (inside 1..k or past it), a pair listed twice (the
+        # last one counts), a pair dropped, a spare cross color.
+        from gallai.core import GallaiPartition
+
+        rng = random.Random(11)
+        verdicts = []
+        for seed in range(120):
+            c, _ = random_gallai(2 + seed % 30, seed, 1 + seed % 5)
+            gp = find_gallai_partition(c)
+            for kind in range(6):
+                blocks, reduced = [list(b) for b in gp.blocks], list(gp.reduced)
+                cross = set(gp.cross_colors)
+                at = rng.randrange(len(reduced))
+                i, j, _ = reduced[at]
+                if kind == 1 and any(len(b) > 1 for b in blocks):
+                    big = next(b for b in blocks if len(b) > 1)
+                    blocks[blocks.index(big) - 1].append(big.pop())
+                elif kind == 2:
+                    reduced[at] = (i, j, rng.choice([1, c.k, c.k + 1, 300]))
+                elif kind == 3:
+                    reduced.insert(at + rng.randrange(2), (i, j, rng.randint(1, c.k)))
+                elif kind == 4:
+                    del reduced[at]
+                elif kind == 5:
+                    cross.add(rng.randint(1, c.k + 1))
+                cross |= {col for *_, col in reduced}
+                if len(cross) > 2:
+                    continue
+                q = GallaiPartition(tuple(map(tuple, blocks)), frozenset(cross), tuple(reduced))
+                verdicts.append(validate_gallai_partition(c, q))
+                assert verdicts[-1] == self._loop_validate(c, q), (seed, kind)
+        assert 300 < len(verdicts) and 0 < sum(verdicts) < len(verdicts)
+
     def test_validator_rejects_wrong_partition(self):
         from gallai.core import GallaiPartition
 
