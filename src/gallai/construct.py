@@ -14,6 +14,10 @@ then its table of Gallai substitutions, and certifies its witness.  Below
 K_9 outside the guaranteed regions, ``construct_any`` returns the oracle's
 certified answer as it is.
 
+Substitutions are written as colex rows of one-color runs: a star, joined
+or special, is one run per row, and a block row of the 8k^2+1 construction
+is three (``core._colex_runs``).
+
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: the class sizes and either speciality, where promised, or
 rainbow-freeness.  Builders that recurse (peel/replay onto a K_{g(k)}
@@ -44,6 +48,7 @@ from .core import (
     canonicalize,
     star_partition,
     total_edges,
+    _colex_runs,
     _lex_order,
 )
 from . import oracle, verify
@@ -66,9 +71,8 @@ def _checked(c: Coloring, want: Distribution, *, special: bool = False) -> Color
     alone, without ``rainbow_witness``: by the star argument, every vertex
     of a special coloring sends its down-edges in one color, so the top
     vertex of any triangle sees two of its edges in one color and no
-    triangle is rainbow.  ``rainbow_witness`` splits the scan at prefix
-    modules, so certifying an 8k^2+1 construction, whose block joins the
-    rest in one color, is no longer cubic in n.
+    triangle is rainbow.  ``rainbow_witness`` scans an 8k^2+1 construction
+    block by block, since the block joins the rest in one color.
     """
     if special:
         if not verify.is_special_coloring(c):
@@ -449,15 +453,9 @@ def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring
     cmap = _relabel(base.counts, [(s, i) for i, s in enumerate(slots) if s > 0])
     if cmap is None:
         raise PreconditionViolated("base coloring does not match the peeled distribution")
+    # A slot the base lacks opens the next new color.
     slot_color = {slot: col for col, slot in cmap.items()}
-    k = base.k
-    colors = []
-    for slot in reversed(log):
-        col = slot_color.get(slot)
-        if col is None:
-            k += 1
-            col = slot_color[slot] = k
-        colors.append(col)
+    colors = [slot_color.setdefault(slot, len(slot_color) + 1) for slot in reversed(log)]
     return _join_stars(base, colors)
 
 
@@ -513,50 +511,36 @@ def _gk_general(d: Distribution) -> Coloring:
 
 
 def _gk_phases(d: Distribution) -> Coloring:
-    k, n = d.k, d.n
-    sizes = list(d.sizes)  # color i  <->  sizes[i-1]
-    arr = np.zeros(total_edges(n), dtype=np.int32)
-    m = n
-    e_small = sizes[k - 1]
-    stars = 0
-    while e_small >= m - 1:
-        v = m - 1
-        base = v * (v - 1) // 2
-        arr[base : base + v] = k
-        e_small -= m - 1
+    """n = 8k^2 + 1 as colex rows of runs: the rest, built with the other
+    classes and relabelled; a block of 4k + 1 rows, each color 1 to the rest,
+    color k to its first ``take`` block vertices (greedy from the top row
+    down), then color 1; on top, spanning stars of color k, one run each."""
+    k, n, sizes = d.k, d.n, d.sizes  # color i  <->  sizes[i-1]
+    m, small = n, sizes[k - 1]
+    while small >= m - 1:
         m -= 1
-        stars += 1
+        small -= m
     block = 4 * k + 1
-    start = m - block
-    n_rest = start
+    n_rest = m - block
     if n_rest < 1:
-        raise InternalScheduleError(f"block does not fit: n={n}, k={k}, stars={stars}")
-    # Block rows: color 1 down to the rest, then the residue of the smallest
-    # class inside the block, greedy stars first.
-    rem = e_small
+        raise InternalScheduleError(f"block does not fit: n={n}, k={k}, stars={n - m}")
+    runs, rem = [(k, v) for v in range(m, n)], small
     for j in range(block - 1, -1, -1):
         take = min(rem, j)
-        base = (start + j) * (start + j - 1) // 2
-        arr[base : base + start + j] = 1
-        arr[base + start : base + start + take] = k
         rem -= take
+        runs = [(1, n_rest), (k, take), (1, j - take)] + runs
     if rem:
         raise InternalScheduleError(f"block capacity exceeded: n={n}, k={k}")
-    cost1 = block * n_rest + (total_edges(block) - e_small)
-    e1_rest = sizes[0] - cost1
+    e1_rest = sizes[0] - block * n_rest - (total_edges(block) - small)
     if e1_rest < 0:
         raise InternalScheduleError(f"largest class too small: n={n}, k={k}, deficit={-e1_rest}")
-    rest = [(e1_rest, 1)] + [(sizes[i], i + 1) for i in range(1, k - 1)]
-    rest = [(s, col) for s, col in rest if s > 0]
-    sub = canonicalize([s for s, _ in rest], n_rest)
-    csub = _construct_guaranteed(sub)
+    rest = [(s, col) for col, s in enumerate((e1_rest,) + sizes[1 : k - 1], start=1) if s > 0]
+    csub = _construct_guaranteed(canonicalize([s for s, _ in rest], n_rest))
     cmap = _relabel(csub.counts, rest)
     if cmap is None:
         raise InternalScheduleError("recursive level does not match the residual sizes")
-    # K_{n_rest} on vertices 0..n_rest-1 is exactly the colex prefix.
-    table = np.array([0] + [cmap[col] for col in range(1, csub.k + 1)])
-    arr[: total_edges(n_rest)] = table[csub.colex_colors()]
-    return Coloring(n, arr)
+    table = np.array([0] + [cmap[col] for col in range(1, csub.k + 1)], dtype=np.int32)
+    return Coloring(n, np.concatenate([table[csub.colex_colors()], _colex_runs(runs)]))
 
 
 def _construct_guaranteed(d: Distribution) -> Coloring:
@@ -627,25 +611,26 @@ def construct_any(d: Distribution) -> Coloring | NotConstructed:
 
     Guaranteed regions: k <= 2 always; n >= g(k) for each k in
     ``_THRESHOLDS`` (g(3) = 5, g(4) = 8), by peeling to K_{g(k)}; any other
-    k with n >= 8k^2+1.  Outside them the necessary condition is checked
-    first.  For n <= 8 ``oracle.search_realizable`` then decides exactly:
+    k with n >= 8k^2+1.  Outside them, for n <= 8,
+    ``oracle.search_realizable`` decides exactly: the necessary condition,
     star search, then its table of Gallai substitutions, which holds every
     count vector of K_n; a table witness is a substitution, not a special
-    coloring.  Larger n get a star-partition search alone and stay
-    ``unknown`` when it finds nothing.
+    coloring.  The necessary condition is checked again only to word a
+    refusal.  Larger n get it, then a star-partition search alone, and stay
+    ``unknown`` when that finds nothing.
     """
     k, n = d.k, d.n
     if k <= 2 or n >= _THRESHOLDS.get(k, 8 * k * k + 1):
         return _checked(_construct_guaranteed(d), d)
+    # With no budget and no deadline the oracle always decides.
+    witness = oracle.search_realizable(d).witness if n <= 8 else None
+    if witness is not None:
+        return witness
     ok, ell = verify.check_necessary(d)
     if not ok:
         return NotConstructed("necessary-condition failure", f"prefix bound fails at l={ell}")
     if n <= 8:
-        # With no budget and no deadline the oracle always decides.
-        witness = oracle.search_realizable(d).witness
-        if witness is None:
-            return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
-        return witness
+        return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
     try:
         sp = star_partition_for(d, max_nodes=2_000_000)
     except BudgetExceeded:

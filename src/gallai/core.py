@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -106,6 +106,15 @@ def edge_index(u: int, v: int) -> int:
     if u == v or u < 0:
         raise ValueError(f"not an edge: ({u}, {v})")
     return v * (v - 1) // 2 + u
+
+
+def _colex_runs(runs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Colex colors from (color, length) runs, listed row by row; a length
+    may be 0.  Row v, the edges from v down to 0..v-1, of a substitution is
+    one run per earlier block, in its cross color, then v's row in its block.
+    """
+    colors, lengths = zip(*runs) if runs else ((), ())
+    return np.repeat(np.asarray(colors, dtype=np.int32), lengths)
 
 
 def balanced_sizes(n: int, k: int) -> tuple[int, ...]:

@@ -9,10 +9,11 @@ follow exactly from those of smaller cliques.  For each color count k a
 process-wide table holds, level by level, every count vector some
 rainbow-free coloring of K_s realizes, as a non-increasing k-tuple with
 zeros allowed (a level is closed under color permutation), each with one
-recipe that rebuilds such a coloring.  A request grows the table up to its
-n and looks its sizes up.  ``nodes_explored`` is the number of entries in
-levels 2..n: the same whether this request or an earlier one built them, so
-a node budget means the same in any process.  Budgets are checked while a
+recipe that rebuilds such a coloring as colex rows of one-color runs
+(``_rebuild``).  A request grows the table up to its n and looks its sizes
+up.  ``nodes_explored`` is the number of entries in levels 2..n: the same
+whether this request or an earlier one built them, so a node budget means
+the same in any process.  Budgets are checked while a
 level is built, an unfinished level is never stored, and a budget turns
 into an ``unknown`` verdict, never a wrong tag.  The node budget bounds the
 entries and the partial sums held while a level is built, so it bounds
@@ -37,8 +38,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .core import (
     BudgetExceeded,
@@ -48,6 +51,7 @@ from .core import (
     Verdict,
     canonicalize,
     total_edges,
+    _colex_runs,
 )
 from . import verify
 
@@ -63,7 +67,9 @@ class _Recipe(NamedTuple):
 
     Consecutive vertex blocks of ``sizes`` carry colorings with the count
     vectors ``parts``; the block pairs whose size products make up ``e_a``
-    take color index ``a``, the other pairs color index ``b``.
+    take color index ``a``, the other pairs color index ``b``.  So the row
+    of a vertex in block j opens with one run per block i < j, in the color
+    of the pair (i, j) and as long as block i.
     """
 
     sizes: tuple[int, ...]
@@ -207,35 +213,34 @@ def _fill_level(
     visit({(0,) * k: ()}, (), s)
 
 
-def _rebuild(levels: list, n: int, key: Vector) -> list[int]:
+def _rebuild(levels: list, n: int, key: Vector) -> np.ndarray:
     """Colex colors of the coloring that ``levels[n][key]`` describes;
-    color c + 1 has ``key[c]`` edges."""
-    rows = [[0] * n for _ in range(n)]
+    color c + 1 has ``key[c]`` edges.  Each recipe appends its cross runs
+    to its blocks' rows, then recurses into the blocks (``_colex_runs``)."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     def fill(s: int, key: Vector, first: int, label: list[int]) -> None:
         recipe = levels[s][key]
         if recipe is None:
             return
-        starts = []
-        for size, x in zip(recipe.sizes, recipe.parts):
-            order = _desc_order(x)
-            fill(size, tuple(x[i] for i in order), first, [label[i] for i in order])
-            starts.append(first)
-            first += size
+        starts = list(accumulate(recipe.sizes, initial=first))
         pairs, reach = _pair_subsets(recipe.sizes)
         chosen = set(reach[recipe.e_a])
         for idx, (i, j) in enumerate(pairs):
-            color = label[recipe.a] if idx in chosen else label[recipe.b]
-            for v in range(starts[j], starts[j] + recipe.sizes[j]):
-                rows[v][starts[i]: starts[i] + recipe.sizes[i]] = [color] * recipe.sizes[i]
+            run = (label[recipe.a] if idx in chosen else label[recipe.b], recipe.sizes[i])
+            for v in range(starts[j], starts[j + 1]):
+                rows[v].append(run)
+        for start, size, x in zip(starts, recipe.sizes, recipe.parts):
+            order = _desc_order(x)
+            fill(size, tuple(x[i] for i in order), start, [label[i] for i in order])
 
     fill(n, key, 0, list(range(1, len(key) + 1)))
-    return [rows[v][u] for v in range(n) for u in range(v)]
+    return _colex_runs([run for row in rows for run in row])
 
 
 def _structural(
     n: int, sizes: Vector, max_nodes: Optional[int], deadline: Optional[float]
-) -> tuple[str, Optional[list[int]], int]:
+) -> tuple[str, Optional[np.ndarray], int]:
     """Table lookup, growing the table to K_n first; returns (tag, colex
     colors or None, nodes).  An unknown verdict from the node budget counts
     ``max_nodes``; one from the deadline counts the entries stored before

@@ -5,6 +5,7 @@ run doubles as a scoreboard.  Budgets and tolerances are pinned here; every
 check is exact (zero tolerated failures).
 """
 
+import hashlib
 import random
 
 from gallai.cli import main as cli_main
@@ -132,6 +133,9 @@ def test_criterion_5_cover_bound_properties():
 def test_criterion_6_general_construction_at_scale():
     rng = random.Random(20_240_801)
     built = 0
+    # The colorings' bytes, not only their validity: a rewrite of the
+    # construction must write the same colex arrays.
+    h = hashlib.sha256()
     for k in (3, 4, 5):
         n = 8 * k * k + 1
         total = total_edges(n)
@@ -143,7 +147,9 @@ def test_criterion_6_general_construction_at_scale():
             d = canonicalize(sizes, n)
             c = construct_gk_general(d)
             assert is_gallai(c) and class_sizes(c) == d
+            h.update(c.colex_colors().astype("uint8").tobytes())
             built += 1
+    assert h.hexdigest() == "bafc15df769d392ec02248f3f3c1f9200b38a2fc4c98748b633fcb238c1d110f"
     _report("6", f"general construction: {built} distributions verified at "
                  "n = 73, 129, 201 (k = 3, 4, 5)")
 

@@ -505,6 +505,15 @@ class TestGkGeneral:
         d = canonicalize(balanced_sizes(n, 6), n)
         verified(construct_gk_general(d), d.sizes)
 
+    def test_rest_with_other_sizes_is_refused(self, monkeypatch):
+        # The rest below the block is relabelled by class size; a coloring
+        # of it with other sizes must raise, not be written in.
+        monkeypatch.setattr(
+            construct, "_construct_guaranteed", lambda d: Coloring(d.n, [1] * total_edges(d.n))
+        )
+        with pytest.raises(InternalScheduleError, match="does not match the residual sizes"):
+            construct_gk_general(canonicalize(balanced_sizes(73, 3), 73))
+
 
 class TestLowerBoundWitness:
     def test_values(self):
@@ -731,6 +740,8 @@ class TestWorkCounts:
 
     def test_table_fallback_searches_and_certifies_once(self, monkeypatch):
         # No star partition realizes (8,3,3,1)/K_6, so the oracle's table answers.
+        from gallai import verify
+
         d = canonicalize([8, 3, 3, 1], 6)
         assert star_partition_for(d) is None
         stars = []
@@ -741,8 +752,19 @@ class TestWorkCounts:
             return real_star(*args, **kwargs)
 
         monkeypatch.setattr(construct, "star_partition_for", star)
+        necessary = []
+        real_necessary = verify.check_necessary
+
+        def check(*args):
+            necessary.append(args)
+            return real_necessary(*args)
+
+        monkeypatch.setattr(verify, "check_necessary", check)
         c, calls = self._counted(monkeypatch, lambda: construct_any(d))
         assert len(stars) == 1
+        # search_realizable checks the necessary condition; construct_any
+        # asks it first and checks again only to word a refusal.
+        assert len(necessary) == 1
         assert calls["rainbow_witness"] == 1
         # The table witness construct_any returned when it asked search_realizable.
         assert c == Coloring(6, [2, 2, 2, 3, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 4])

@@ -238,18 +238,33 @@ class TestStructural:
             if tag == "feasible":
                 _checked(Coloring(d.n, colors), d)
 
+    # sha256 over every rebuilt entry of levels 2..8, keys in sorted order:
+    # a rebuild that wrote another valid witness would still pass the checks.
+    ENTRY_PIN = {
+        3: (178, "d96c1a067ba9c76e5314ec56c4f4a652357d5ebcaa5165dbf3c5785b96821dc6"),
+        4: (444, "d9745aaccc58d73e932050103466239ae1fd46ddf813e1c48345cfb9bc9df454"),
+        5: (751, "7d593b017301d1fa8f3c9aa26be8a893b211fb189342b27fde201c439c215a78"),
+    }
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_every_entry_rebuilds(self, k):
+        import hashlib
+
         from gallai import oracle
         from gallai.core import Coloring
 
-        oracle._structural(7, (0,) * k, None, None)
+        oracle._structural(8, (0,) * k, None, None)
         levels = oracle._TABLES[k]
-        for s in range(2, 8):
-            for key in levels[s]:
+        h = hashlib.sha256()
+        entries = 0
+        for s in range(2, 9):
+            for key in sorted(levels[s]):
                 c = Coloring(s, oracle._rebuild(levels, s, key))
                 assert is_gallai(c)
                 assert class_sizes(c).sizes == tuple(v for v in key if v)
+                h.update(f"{s}:{key}\n".encode() + c.colex_colors().astype("uint8").tobytes())
+                entries += 1
+        assert (entries, h.hexdigest()) == self.ENTRY_PIN[k]
 
     def test_needs_more_than_two_blocks(self):
         # Every coloring of K_9 with these sizes is a substitution into a
