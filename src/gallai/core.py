@@ -568,9 +568,9 @@ def _layout(skeleton: _Skeleton, n: int) -> _Layout:
     return _Layout(n, [body[s : s + r] for s, r in zip(starts, rows[:-1].tolist())], at)
 
 
-# The kept skeleton and the layout of the last K_n written or read (n >= 20,
-# k <= 9), or None before the first.  Replaced by one assignment, so a
-# concurrent caller sees either the old pair or the new one.
+# The kept skeleton and the layout of the last K_n with k <= 9 written
+# (n >= 20) or read (n >= 2), or None before the first.  Replaced by one
+# assignment, so a concurrent caller sees either the old pair or the new one.
 _TEXT_SLOT: Optional[tuple[_Skeleton, _Layout]] = None
 
 
@@ -679,57 +679,26 @@ def _parse_edge_item(item: object, ln: Optional[int]) -> tuple[int, int, int]:
 
 
 def _read_canonical(text: str) -> Optional[Coloring]:
-    """The coloring whose ``serialize`` output is exactly ``text``, or None.
+    """The coloring whose ``serialize`` output is exactly ``text``, or None;
+    only texts of K_n with n >= 2 and k <= 9 are read here.
 
-    Only the colors are parsed: the whole text is then written again from
-    (n, k, colors) and must come out byte for byte the same, which proves
-    that every other token is what the line-by-line reader would have read.
-    Nothing sized by n is allocated before the text's length (from K_20 up
-    with k <= 9) or line count (otherwise) has matched n.
+    The colors are read at the offsets of the layout of K_n and written into
+    its rows joined, which must come out byte for byte as ``text``: that
+    proves every other token is what ``_read_lines`` would have read.
+    Nothing sized by n is built before the text's length has matched n.
+    The layout of an accepted text is kept; a refused one leaves the kept
+    skeleton and layout as they were.
     """
+    global _TEXT_SLOT
     if not text.isascii():
         return None
     try:
         n, k = (int(tok) for tok in text[: text.index("\n")].split(" "))
     except ValueError:
         return None
-    if n >= _VECTOR_MIN_N and 1 <= k <= 9:
-        return _read_layout(text, n, k)
-    edges = total_edges(n)
-    if n < 1 or not 0 <= k <= edges or text.count("\n") != edges + 1:
-        return None
-    raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    last = np.flatnonzero(buf == ord("\n"))[1:] - 1
-    # The color is the run of digits before each LF; any other spelling
-    # of the line fails the comparison below.
-    colors = np.zeros(edges, dtype=np.int64)
-    digit = np.ones(edges, dtype=bool)
-    for place in range(len(str(k))):
-        value = buf[last - place].astype(np.int64) - ord("0")
-        digit &= (value >= 0) & (value <= 9)
-        colors += np.where(digit, value, 0) * 10**place
-    if edges and not (1 <= colors.min() and colors.max() <= k):
-        return None
-    u, v, at = _lex_order(n)
-    if _text_bytes(n, k, u, v, colors) != raw:
-        return None
-    colex = np.empty(edges, dtype=np.int32)
-    colex[at] = colors
-    return Coloring(n, colex, k=k)
-
-
-def _read_layout(text: str, n: int, k: int) -> Optional[Coloring]:
-    """``_read_canonical`` for n >= 20 and k <= 9: the colors are read at
-    the offsets of the layout of K_n and written into its rows joined.
-
-    The layout of an accepted text is kept; a refused one leaves the kept
-    skeleton and layout as they were.
-    """
-    global _TEXT_SLOT
-    # A header that claims a huge n is refused here, before anything is
-    # built for it.
-    if len(text) != _text_length(n, k):
+    # More colors than edges (K_2 to K_4 only) are refused by _read_lines
+    # with the header's line number.
+    if n < 2 or not 1 <= k <= min(9, total_edges(n)) or len(text) != _text_length(n, k):
         return None
     slot = _text_slot(n)
     at = slot[1].at
@@ -749,7 +718,8 @@ def _read_layout(text: str, n: int, k: int) -> Optional[Coloring]:
 
 
 def _read_lines(text: str) -> Coloring:
-    """Line-by-line reader: the reference for ``deserialize``.
+    """Line-by-line reader: the reference for ``deserialize``, and its reader
+    for every text that ``_read_canonical`` refuses.
 
     Accepts any whitespace between tokens, CRLF line ends, signs and
     leading zeros, and a missing final LF; a malformed entry's error
@@ -775,9 +745,10 @@ def _read_lines(text: str) -> Coloring:
 def deserialize(text: str) -> Coloring:
     """Parse the text format, enforcing totality and canonical edge order.
 
-    Text written by ``serialize`` is read by a vectorized path; anything
-    else, including every malformed input, goes through ``_read_lines``,
-    which accepts the same spellings and raises the same errors.
+    Text that ``serialize`` wrote for K_n, n >= 2, with k <= 9 is read over
+    the kept skeleton; every other text goes through ``_read_lines``: k = 0
+    or k >= 10, other spellings and every malformed input.  Both give the
+    same coloring for any text they both accept.
     """
     c = _read_canonical(text)
     return c if c is not None else _read_lines(text)

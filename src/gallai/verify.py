@@ -298,7 +298,8 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
     (T. Gallai 1967; Gyarfas-Simonyi, J. Graph Theory 46, 2004) gives a
     pair {a, b} whose cross edges carry every edge between the parts of a
     partition into at least two parts, so that pair leaves at least two
-    components.
+    components.  Every cross edge joins two components, so it is colored a
+    or b: there are never more than two cross colors.
     """
     if c.n < 2:
         raise PreconditionViolated("need n >= 2 for a block decomposition")
@@ -312,12 +313,9 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
         # One edge per block pair; validate_gallai_partition checks the rest.
         roots = list(blocks)
         reduced = mat[np.ix_(roots, roots)]  # diagonal 0
-        cross = set(np.unique(reduced).tolist()) - {0}
-        if len(cross) > 2:
-            continue
         gp = GallaiPartition(
             blocks=tuple(map(tuple, blocks.values())),
-            cross_colors=frozenset(cross),
+            cross_colors=frozenset(np.unique(reduced).tolist()) - {0},
             reduced=tuple(
                 (i, j, row[j]) for i, row in enumerate(reduced.tolist()) for j in range(i + 1, len(row))
             ),

@@ -2,7 +2,7 @@ import pytest
 
 from gallai import construct, generator, oracle
 from gallai.cli import main
-from gallai.core import InternalScheduleError, deserialize
+from gallai.core import BudgetExceeded, InternalScheduleError, deserialize
 from gallai.verify import class_sizes, is_gallai
 
 
@@ -44,6 +44,19 @@ class TestConstruct:
         )
         assert code == 3 and stderr == ""
         assert stdout.splitlines()[-1].startswith("not constructed: unknown")
+
+    def test_star_search_over_budget_is_unknown(self, monkeypatch, capsys):
+        def over_budget(*args, **kwargs):
+            raise BudgetExceeded("node budget exhausted")
+
+        monkeypatch.setattr(construct, "star_partition_for", over_budget)
+        code, stdout, stderr = run(
+            capsys, "construct", "--n", "19", "--dist", "57,38,23,20,19,12,1,1"
+        )
+        assert code == 3 and stderr == ""
+        assert stdout.splitlines()[-1] == (
+            "not constructed: unknown (star partition search exceeded its budget)"
+        )
 
     def test_internal_error_is_unknown(self, monkeypatch, capsys):
         def broken(d):

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gallai import construct
 from gallai.core import (
+    BudgetExceeded,
     Coloring,
     DivisionParams,
     InternalScheduleError,
@@ -591,6 +592,16 @@ class TestConstructAny:
         result = construct_any(canonicalize([7, 3, 2, 2, 1], 6))
         assert isinstance(result, NotConstructed)
         assert result.reason == "fallback exhausted"
+
+    def test_star_search_over_budget_is_unknown(self, monkeypatch):
+        # Above K_8 and outside every guaranteed region, star search alone
+        # answers; running out of nodes leaves the request undecided.
+        def over_budget(*args, **kwargs):
+            raise BudgetExceeded("node budget exhausted")
+
+        monkeypatch.setattr(construct, "star_partition_for", over_budget)
+        result = construct_any(canonicalize([57, 38, 23, 20, 19, 12, 1, 1], 19))
+        assert result == NotConstructed("unknown", "star partition search exceeded its budget")
 
     def test_special_gap_instance_succeeds_via_oracle(self):
         c = construct_any(canonicalize([8, 3, 3, 1], 6))

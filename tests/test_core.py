@@ -91,6 +91,12 @@ class TestColoring:
         with pytest.raises(InvariantViolation):
             Coloring(3, (1, 1, 3))
 
+    @pytest.mark.parametrize("colors", [(1, 0, 2), (2, 1, -3)])
+    def test_color_below_one_rejected(self, colors):
+        with pytest.raises(InvariantViolation) as exc:
+            Coloring(3, colors)
+        assert str(exc.value) == f"color ids must be >= 1, got {min(colors)}"
+
     def test_wrong_length_rejected(self):
         with pytest.raises(InvariantViolation):
             Coloring(4, (1, 1, 1))
@@ -235,6 +241,22 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize("banana\n")
 
+    def test_non_numeric_header(self):
+        with pytest.raises(ParseError) as exc:
+            deserialize("2 x\n0 1 1\n")
+        assert str(exc.value) == "line 1: non-numeric header '2 x'"
+
+    def test_non_ascii_text_takes_the_line_reader(self):
+        # The header n spelled in Arabic-Indic digits: the text has the
+        # canonical length, but the skeleton reader reads ASCII only.
+        text = "\u0663\u0660" + serialize(_k_colored(30, 5, 0))[2:]
+        assert len(text) == core._text_length(30, 5)
+        assert _read_canonical(text) is None
+        assert _outcome(deserialize, text) == _outcome(_read_lines, text)
+        bad = text.replace("\n0 1 ", "\n0 \u00e9 ", 1)
+        assert _outcome(deserialize, bad) == _outcome(_read_lines, bad)
+        assert _outcome(deserialize, bad)[2] == 2
+
     def test_huge_header_without_edges_fails_at_once(self):
         # The entry count is checked against n(n-1)/2 before anything is
         # allocated; building the edge list first would ask for ~5*10^9 slots.
@@ -263,6 +285,21 @@ class TestSerialization:
         for text in ("5", "null", '"n k edges"', "[1]"):
             with pytest.raises(ParseError):
                 deserialize_json(text)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 0, "k": 1, "edges": []}, "bad vertex count 0"),
+        ({"n": "3", "k": 1, "edges": []}, "bad vertex count '3'"),
+        ({"n": True, "k": 1, "edges": []}, "bad vertex count True"),
+        ({"n": 2, "k": -1, "edges": []}, "bad color count -1"),
+        ({"n": 2, "k": 1.0, "edges": []}, "bad color count 1.0"),
+        ({"n": 2, "k": False, "edges": []}, "bad color count False"),
+        ({"n": 2, "k": 1, "edges": {"0": [0, 1, 1]}}, "expected 1 edge entries"),
+        ({"n": 2, "k": 1, "edges": "0 1 1"}, "expected 1 edge entries"),
+    ])
+    def test_json_bad_fields(self, payload, message):
+        with pytest.raises(InvariantViolation) as exc:
+            deserialize_json(json.dumps(payload))
+        assert str(exc.value) == message and exc.value.line is None
 
     def test_json_structure(self):
         c = Coloring(3, (1, 1, 2))
@@ -374,15 +411,24 @@ class TestVectorizedText:
         assert deserialize(text) == c
         assert core._TEXT_SLOT[0] is skeleton
 
-    def test_round_trip_across_sizes_and_color_widths(self):
-        steps = [(20, 9), (20, 10), (20, 9), (45, 3), (20, 1), (20, 12), (45, 9),
-                 (45, 9), (20, 9), (45, 10), (45, 2)]
+    def test_round_trip_across_sizes_and_color_widths(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(core, "_read_lines", lambda text: lines.append(text) or _read_lines(text))
+        steps = [(20, 9), (2, 1), (20, 10), (19, 9), (20, 9), (45, 3), (3, 3), (20, 1),
+                 (19, 10), (20, 12), (45, 9), (45, 9), (2, 1), (20, 9), (45, 10), (45, 2)]
         for seed, (n, k) in enumerate(steps):
             c = _k_colored(n, k, seed)
             text = serialize(c)
             assert text == _fstring_serialize(c)
             assert deserialize(text) == c
             assert deserialize(text) == c
+            # At most 9 colors are read over the skeleton, which keeps the
+            # layout of K_n at every n; more take the line reader.
+            if k <= 9:
+                assert not lines and core._TEXT_SLOT[1].n == n
+            else:
+                assert lines == [text, text]
+                lines.clear()
 
     def test_kept_layout_needs_no_rebuild(self, monkeypatch):
         first, second = _k_colored(33, 7, 0), _k_colored(33, 4, 1)
@@ -465,14 +511,22 @@ class TestVectorizedText:
         raw = [rnd.randint(1, max_colors) for _ in range(total_edges(n))]
         c = Coloring(n, compact_colors(raw))
         text = serialize(c)
-        assert _read_canonical(text) == c
+        if n >= 2 and 1 <= c.k <= 9:
+            assert _read_canonical(text) == c
+        else:
+            assert _read_canonical(text) is None
+        assert deserialize(text) == c
+        kept = core._TEXT_SLOT
         mutated = _mutate(text, rnd)
-        assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
+        outcome = _outcome(deserialize, mutated)
+        assert outcome == _outcome(_read_lines, mutated)
+        # A refused text leaves the kept skeleton and layout as they were.
+        assert isinstance(outcome, Coloring) or core._TEXT_SLOT is kept
 
     @pytest.mark.parametrize("spelling", sorted(NON_CANONICAL))
     def test_non_canonical_spellings_take_the_line_reader(self, spelling):
-        for n, seed in ((1, 0), (2, 0), (12, 3)):
-            c = random_gallai(n, seed, 12)[0]
+        for n, seed, max_colors in ((1, 0, 12), (2, 0, 12), (12, 3, 12), (30, 1, 9)):
+            c = random_gallai(n, seed, max_colors)[0]
             text = NON_CANONICAL[spelling](serialize(c))
             if text == serialize(c):
                 continue
@@ -490,6 +544,8 @@ class TestVectorizedText:
         "3 0\n0 1 0\n0 2 0\n1 2 0\n",
         "2 1\n0 1 1\n\n",
         "2 10\n0 1 10\n",
+        "2 2\n0 1 1\n",  # more colors than edges, at the canonical length
+        "3 4\n0 1 1\n0 2 1\n1 2 1\n",
         "\n",
         "",
     ])

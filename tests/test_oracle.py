@@ -77,6 +77,22 @@ class TestSearch:
         payload = v.to_json_dict()
         assert payload["tag"] == "feasible" and "witness" in payload
 
+    @pytest.mark.parametrize("sizes, n, tag", [((5, 4, 3, 3), 6, "feasible"),
+                                               ((7, 3, 2, 2, 1), 6, "infeasible")])
+    def test_star_search_over_budget_leaves_the_table_verdict(self, monkeypatch, sizes, n, tag):
+        from gallai import construct
+        from gallai.core import BudgetExceeded
+
+        def over_budget(*args, **kwargs):
+            raise BudgetExceeded("node budget exhausted")
+
+        monkeypatch.setattr(construct, "star_partition_for", over_budget)
+        d = canonicalize(sizes, n)
+        v = search_realizable(d)
+        # A star-search answer counts no nodes; the table's counts its entries.
+        assert v.tag == tag and v.nodes_explored > 0
+        assert v.witness is None or class_sizes(v.witness) == d
+
 
 class TestEnumerate:
     def test_k4_on_four_vertices(self):
@@ -336,6 +352,27 @@ class TestStructural:
         with pytest.raises(BudgetExceeded):
             oracle._fill_level(level, levels, 8, 5, 170, None)
         assert level == {}
+
+    def test_node_budget_stops_the_level_itself(self, monkeypatch):
+        import traceback
+
+        from gallai import oracle
+
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        real_fill, stops = oracle._fill_level, []
+
+        def fill(*args):
+            try:
+                real_fill(*args)
+            except oracle._OverNodeBudget as exc:
+                stops.append(traceback.extract_tb(exc.__traceback__)[-1].name)
+                raise
+
+        monkeypatch.setattr(oracle, "_fill_level", fill)
+        # K_2's one vector leaves a limit of 1 for K_3, whose folds hold one
+        # vector each: its second entry, not a fold, goes past the budget.
+        assert oracle._structural(3, (1, 1, 1), 2, None) == ("unknown", None, 2)
+        assert stops == ["add"]
 
     def test_threads_share_one_table(self, monkeypatch):
         import sys

@@ -516,6 +516,22 @@ class TestGallaiPartition:
         # Edge (0,2) is color 1 but (1,2) is color 2: the pair is not monochromatic.
         assert not validate_gallai_partition(c, bad)
 
+    @pytest.mark.parametrize("blocks, reduced", [
+        (((0, 1, 2), ()), ((0, 1, 1),)),  # an empty block
+        (((0, 1), (1, 2)), ((0, 1, 1),)),  # vertex 1 twice
+        (((0, 1), (2, 3)), ((0, 1, 1),)),  # no vertex 3 in K_3
+        (((0,), (1,)), ((0, 1, 1),)),  # vertex 2 in no block
+        (((0,), (1, 2)), ((0, 1, 2),)),  # color 2 is not a cross color
+        (((0,), (1,), (2,)), ((0, 1, 1), (0, 2, 1))),  # no color for (1, 2)
+    ])
+    def test_validator_refuses_malformed_partitions(self, blocks, reduced):
+        from gallai.core import GallaiPartition
+
+        c = Coloring(3, (1, 1, 1))
+        whole = GallaiPartition(((0,), (1,), (2,)), frozenset({1}), ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
+        assert validate_gallai_partition(c, whole)
+        assert not validate_gallai_partition(c, GallaiPartition(blocks, frozenset({1}), reduced))
+
     def test_generator_output_decomposes(self):
         for seed in range(25):
             c, _ = random_gallai(3 + seed % 14, seed, 4)
