@@ -7,12 +7,12 @@ paper's constructive proofs and have no fallback to star search: a schedule
 that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
 label partition, ``InternalScheduleError`` for wrong class sizes).
 
-From K_{g(k)} up, for the k whose threshold g(k) is known (``_THRESHOLDS``),
-a distribution is peeled down to K_{g(k)} and its base has no schedule of
-its own: it asks ``oracle.search_realizable``, which tries star search and
-then its table of Gallai substitutions, and certifies its witness.  Below
-K_9 outside the guaranteed regions, ``construct_any`` returns the oracle's
-certified answer as it is.
+``_peeled`` peels a distribution to K_{g(k)}, for the k whose threshold
+g(k) is known (``_THRESHOLDS``), or else to K_{8k^2+1}.  A K_{8k^2+1} base
+is the paper's block construction (``_gk_phases``); a K_{g(k)} base asks
+``oracle.search_realizable``, which tries star search and then its table
+of Gallai substitutions, and certifies its witness.  Below K_9 outside the
+guaranteed regions, ``construct_any`` returns the oracle's answer as it is.
 
 Substitutions are written as colex rows of one-color runs: a star, joined
 or special, is one run per row, and a block row of the 8k^2+1 construction
@@ -20,11 +20,11 @@ is three (``core._colex_runs``).
 
 Every public builder post-checks what it returns with ``_checked`` exactly
 once per call: the class sizes and either speciality, where promised, or
-rainbow-freeness.  Builders that recurse (peel/replay onto a K_{g(k)}
-base, the 8k^2+1 construction) call each other through the unchecked
-private ``_construct_guaranteed`` and ``_gk_general``, so one public call
-pays for one certification of the result, and a wrong schedule still
-cannot leak out as a wrong coloring.
+rainbow-freeness.  Builders that recurse (peel/replay, the 8k^2+1
+construction) call each other through the unchecked private
+``_construct_guaranteed`` and ``_peeled``, so one public call pays for one
+certification of the result, and a wrong schedule still cannot leak out
+as a wrong coloring.
 """
 
 from __future__ import annotations
@@ -497,17 +497,7 @@ def construct_gk_general(d: Distribution) -> Coloring:
     threshold = 8 * k * k + 1
     if n < threshold:
         raise PreconditionViolated(f"need n >= 8k^2+1 = {threshold}, got n={n}")
-    return _checked(_gk_general(d), d)
-
-
-def _gk_general(d: Distribution) -> Coloring:
-    """Unchecked body of construct_gk_general (preconditions already hold)."""
-    threshold = 8 * d.k * d.k + 1
-    if d.n == threshold:
-        return _gk_phases(d)
-    base, log = peel_reduction(d, threshold)
-    inner = _gk_general(base) if base.k == d.k else _construct_guaranteed(base)
-    return replay_peel(inner, d, log)
+    return _checked(_peeled(d, threshold), d)
 
 
 def _gk_phases(d: Distribution) -> Coloring:
@@ -544,26 +534,29 @@ def _gk_phases(d: Distribution) -> Coloring:
 
 
 def _construct_guaranteed(d: Distribution) -> Coloring:
-    """Builder for the regions where success is unconditional.
-
-    For k in ``_THRESHOLDS``, d is peeled to K_{g(k)} (``peel_reduction``
-    refuses n < g(k)).  A base with k classes comes from
-    ``oracle.search_realizable``; one with fewer, such as (5,5)/K_5 from
-    (5,5,5)/K_6, from this builder.
-    """
+    """Builder for the regions where success is unconditional: two colors
+    fill in lexicographic order, more are peeled to K_{g(k)}, else to
+    K_{8k^2+1} (``peel_reduction`` refuses a smaller d.n)."""
     k = d.k
     if k <= 2:
         return _lex_fill(d.n, d.sizes)
-    g = _THRESHOLDS.get(k)
-    if g is None:
-        return _gk_general(d)
+    return _peeled(d, _THRESHOLDS.get(k, 8 * k * k + 1))
+
+
+def _peeled(d: Distribution, g: int) -> Coloring:
+    """d peeled to K_g, its base built and the stars put back; the base
+    alone when nothing was peeled.  A base with k classes comes from
+    ``_gk_phases`` at g = 8k^2+1, else from ``oracle.search_realizable``;
+    one with fewer, such as (5,5)/K_5 from (5,5,5)/K_6, from
+    ``_construct_guaranteed``."""
     base, log = peel_reduction(d, g)
-    if base.k < k:
-        return replay_peel(_construct_guaranteed(base), d, log)
-    witness = oracle.search_realizable(base).witness
-    if witness is None:
+    if base.k < d.k:
+        built = _construct_guaranteed(base)
+    elif g == 8 * d.k * d.k + 1:
+        built = _gk_phases(base)
+    elif (built := oracle.search_realizable(base).witness) is None:
         raise InternalScheduleError(f"no coloring found for {base} (expected total)")
-    return replay_peel(witness, d, log)
+    return replay_peel(built, d, log) if log else built
 
 
 # ---------------------------------------------------------------------------

@@ -452,11 +452,6 @@ def _text_bytes(n: int, k: int, u: np.ndarray, v: np.ndarray, colors: np.ndarray
     return f"{n} {k}\n".encode("ascii") + cells[cells != 0].tobytes()
 
 
-# Below this many vertices one f-string per edge costs less than the fixed
-# cost of the numpy calls of the vectorized writers (crossover between K_16
-# and K_24, measured between backtracking searches on 2 vCPUs).
-_VECTOR_MIN_N = 20
-
 # The skeleton is built for the next multiple of this many vertices, so a
 # caller whose n grows a little at a time rebuilds it once per step.  Steps
 # of 32 and 64 measured no faster on the benchmark's construct and
@@ -475,6 +470,13 @@ def _digit_total(n: int) -> int:
         total += n - power
         power *= 10
     return total
+
+
+def _over_skeleton(n: int, k: int) -> bool:
+    """Whether texts of K_n with k colors are written and read over the kept
+    skeleton.  More colors than edges (K_2 to K_4 only) are left to
+    _read_lines, which refuses them with the header's line number."""
+    return n >= 2 and 1 <= k <= min(9, total_edges(n))
 
 
 def _text_length(n: int, k: int) -> int:
@@ -568,8 +570,8 @@ def _layout(skeleton: _Skeleton, n: int) -> _Layout:
     return _Layout(n, [body[s : s + r] for s, r in zip(starts, rows[:-1].tolist())], at)
 
 
-# The kept skeleton and the layout of the last K_n with k <= 9 written
-# (n >= 20) or read (n >= 2), or None before the first.  Replaced by one
+# The kept skeleton and the layout of the last K_n, n >= 2, with k <= 9
+# written or read, or None before the first.  Replaced by one
 # assignment, so a concurrent caller sees either the old pair or the new one.
 _TEXT_SLOT: Optional[tuple[_Skeleton, _Layout]] = None
 
@@ -598,17 +600,13 @@ def serialize(c: Coloring) -> str:
     Edges appear in lexicographic order of (u, v); every line ends with LF.
     Numbers are written in plain decimal, separated by one space.
 
-    From K_20 up with k <= 9, the text is joined from the rows of the kept
-    skeleton with the colors written in at the layout's offsets, and that
-    layout is kept, so that reading the text back reuses it.
+    For K_n, n >= 2, with k <= 9, the rows of the kept skeleton are joined
+    with the colors written in at the layout's offsets, and the layout is
+    kept for reading the text back; K_1 and k >= 10 go to ``_text_bytes``.
     """
     global _TEXT_SLOT
     n, k = c.n, c.k
-    if n < _VECTOR_MIN_N:
-        lines = [f"{n} {k}"]
-        lines.extend(f"{u} {v} {col}" for u, v, col in c.edges())
-        return "\n".join(lines) + "\n"
-    if k > 9:
+    if not _over_skeleton(n, k):
         return _text_bytes(n, k, *_lex_edges(c)).decode("ascii")
     slot = _TEXT_SLOT = _text_slot(n)
     out = _join_rows(n, k, slot[1])
@@ -658,12 +656,22 @@ def _coloring_from_entries(
     return Coloring(n, arr, k=k)
 
 
+def _decimals(tokens: list[str]) -> tuple[int, ...]:
+    """Tokens [+-]?[0-9]+ as ints, else ValueError: int() alone also takes
+    other scripts' digits and "_" between digits, but of ASCII without "_"
+    it takes only these."""
+    joined = "".join(tokens)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError
+    return tuple(map(int, tokens))
+
+
 def _parse_edge_line(raw: str, ln: Optional[int]) -> tuple[int, int, int]:
     parts = raw.split()
     if len(parts) != 3:
         raise ParseError(f"expected 'u v c', got {raw!r}", ln)
     try:
-        return int(parts[0]), int(parts[1]), int(parts[2])
+        return _decimals(parts)
     except ValueError:
         raise ParseError(f"non-numeric edge line {raw!r}", ln) from None
 
@@ -696,9 +704,7 @@ def _read_canonical(text: str) -> Optional[Coloring]:
         n, k = (int(tok) for tok in text[: text.index("\n")].split(" "))
     except ValueError:
         return None
-    # More colors than edges (K_2 to K_4 only) are refused by _read_lines
-    # with the header's line number.
-    if n < 2 or not 1 <= k <= min(9, total_edges(n)) or len(text) != _text_length(n, k):
+    if not _over_skeleton(n, k) or len(text) != _text_length(n, k):
         return None
     slot = _text_slot(n)
     at = slot[1].at
@@ -734,7 +740,7 @@ def _read_lines(text: str) -> Coloring:
     if len(head) != 2:
         raise ParseError(f"expected header 'n k', got {lines[0]!r}", 1)
     try:
-        n, k = int(head[0]), int(head[1])
+        n, k = _decimals(head)
     except ValueError:
         raise ParseError(f"non-numeric header {lines[0]!r}", 1) from None
     if n < 1:

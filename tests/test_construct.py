@@ -78,6 +78,14 @@ class TestStarPartitionSearch:
     def test_more_groups_than_labels(self):
         assert star_partition_for(canonicalize([1, 1, 1], 3)) is None
 
+    def test_node_budget_raises_then_finds(self):
+        # The real budget of the search, with nothing patched.
+        d = canonicalize(balanced_sizes(10, 4), 10)
+        with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
+            star_partition_for(d, max_nodes=3)
+        sp = star_partition_for(d, max_nodes=10)
+        assert sp is not None and sorted(sp.group_sums()) == sorted(d.sizes)
+
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60)
     def test_found_partitions_realize_the_distribution(self, n, seed):
@@ -220,6 +228,13 @@ class TestBalanced:
         with pytest.raises(TooManyColors):
             construct_balanced(5, 4)
 
+    def test_no_colors_refused(self):
+        with pytest.raises(PreconditionViolated, match="k must be >= 1"):
+            construct_balanced(5, 0)
+
+    def test_single_vertex(self):
+        assert construct_balanced(1, 1) == Coloring(1, ())
+
     def test_ceiling_boundary_odd_n(self):
         for n in (3, 5, 7, 9, 11):
             k = (n + 1) // 2
@@ -296,6 +311,21 @@ class TestExtendAndPeel:
         assert base.n == 5 and base.k == 3
         c = replay_peel(_construct_guaranteed(base), d, log)
         verified(c, d.sizes)
+
+    def test_replay_refuses_a_log_that_does_not_bridge(self):
+        d = canonicalize(balanced_sizes(7, 3), 7)
+        base, log = peel_reduction(d, 5)
+        built = _construct_guaranteed(base)
+        with pytest.raises(PreconditionViolated, match="log length 1 does not bridge 5 -> 7"):
+            replay_peel(built, d, log[:1])
+
+    def test_replay_refuses_a_base_of_other_sizes(self):
+        d = canonicalize(balanced_sizes(7, 3), 7)
+        base, log = peel_reduction(d, 5)
+        other = _construct_guaranteed(canonicalize([4, 3, 3], 5))
+        assert base != canonicalize([4, 3, 3], 5)
+        with pytest.raises(PreconditionViolated, match="does not match the peeled distribution"):
+            replay_peel(other, d, log)
 
     def test_replay_recreates_emptied_classes(self):
         d = canonicalize([7, 7, 7, 7], 8)
@@ -551,6 +581,12 @@ class TestMergeClasses:
         c = construct_balanced(6, 3)
         with pytest.raises(PreconditionViolated):
             merge_classes(c, [(1, 2)])
+
+    @pytest.mark.parametrize("grouping", [[(1, 1), (2, 3)], [(1, 4), (2, 3)], [(0, 1), (2, 3)]])
+    def test_rejects_bad_color_inside_a_part(self, grouping):
+        c = construct_balanced(6, 3)
+        with pytest.raises(PreconditionViolated, match="cover colors 1..3 exactly once"):
+            merge_classes(c, grouping)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40)

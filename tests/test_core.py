@@ -12,6 +12,7 @@ from gallai.core import (
     Distribution,
     DivisionParams,
     GallaiError,
+    GallaiPartition,
     InvariantViolation,
     NonPositiveEntry,
     ParseError,
@@ -153,6 +154,20 @@ class TestColoring:
         with pytest.raises(InvariantViolation, match="need at least"):
             Coloring(2, [10**12])
 
+    def test_loop_is_not_an_edge(self):
+        with pytest.raises(ValueError, match=re.escape("not an edge: (2, 2)")):
+            edge_index(2, 2)
+
+    def test_no_vertices_refused(self):
+        with pytest.raises(InvariantViolation, match="vertex count must be >= 1, got 0"):
+            Coloring(0, ())
+        with pytest.raises(InvariantViolation, match="vertex count must be >= 1, got 0"):
+            Distribution((), 0)
+
+    def test_from_edges_refuses_a_vertex_outside(self):
+        with pytest.raises(InvariantViolation, match=re.escape("bad edge (0, 3) for K_3")):
+            Coloring.from_edges(3, [(0, 1, 1), (0, 3, 1), (1, 2, 1)])
+
 
 class TestStarPartition:
     def test_valid(self):
@@ -166,6 +181,8 @@ class TestStarPartition:
             star_partition(5, [(4, 3), (1,)])
         with pytest.raises(InvariantViolation):
             star_partition(5, [(4, 3), (), (2, 1)])
+        with pytest.raises(InvariantViolation, match="label 5 out of range for K_4"):
+            star_partition(4, [[1, 2], [5]])
 
     @given(label_partitions())
     def test_group_sums_cover_all_edges(self, data):
@@ -183,16 +200,28 @@ class TestParams:
             DivisionParams(n=5, k=2, p=4, q=1)  # sum mismatch
         with pytest.raises(PreconditionViolated, match="p >= 1 when k >= 1"):
             DivisionParams(n=1, k=2, p=0, q=0)  # k empty classes on K_1
+        with pytest.raises(PreconditionViolated, match="p >= 1 when k >= 1"):
+            DivisionParams(1, 1, 0, 0)
+
+    def test_gallai_partition_validation(self):
+        with pytest.raises(InvariantViolation, match="at least 2 blocks"):
+            GallaiPartition(((0, 1),), frozenset(), ())
+        with pytest.raises(InvariantViolation, match="more than two cross colors"):
+            GallaiPartition(((0,), (1,), (2,), (3,)), frozenset({1, 2, 3}), ())
 
     def test_verdict_validation(self):
         with pytest.raises(InvariantViolation):
             Verdict("feasible", None, 0)
         with pytest.raises(InvariantViolation):
             Verdict("maybe", None, 0)
+        with pytest.raises(InvariantViolation, match="only feasible verdicts carry a witness"):
+            Verdict("infeasible", Coloring(3, (1, 1, 1)), 0)
 
     def test_balanced_sizes(self):
         assert balanced_sizes(6, 3) == (5, 5, 5)
         assert balanced_sizes(5, 3) == (4, 3, 3)
+        with pytest.raises(PreconditionViolated, match="k must be positive"):
+            balanced_sizes(5, 0)
 
 
 class TestSerialization:
@@ -255,7 +284,21 @@ class TestSerialization:
         assert _outcome(deserialize, text) == _outcome(_read_lines, text)
         bad = text.replace("\n0 1 ", "\n0 \u00e9 ", 1)
         assert _outcome(deserialize, bad) == _outcome(_read_lines, bad)
-        assert _outcome(deserialize, bad)[2] == 2
+        # The line reader refuses the header before it reaches line 2.
+        assert _outcome(deserialize, bad)[2] == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 1\n0 1 1\n0 2 1\n1 2 0_1\n", 4),  # int() takes "_" between digits
+        ("\u0663 1\n0 1 1\n0 2 1\n1 2 1\n", 1),  # Arabic-Indic 3
+        ("3 1\n0 1 1\n0 2 1\n1 2 \uff11\n", 4),  # fullwidth 1
+    ])
+    def test_numbers_are_ascii_decimal(self, text, line):
+        raw = text.split("\n")[line - 1]
+        what = "header" if line == 1 else "edge line"
+        with pytest.raises(ParseError) as exc:
+            deserialize(text)
+        assert str(exc.value) == f"line {line}: non-numeric {what} {raw!r}"
+        assert exc.value.line == line
 
     def test_huge_header_without_edges_fails_at_once(self):
         # The entry count is checked against n(n-1)/2 before anything is
@@ -412,19 +455,32 @@ class TestVectorizedText:
         assert core._TEXT_SLOT[0] is skeleton
 
     def test_round_trip_across_sizes_and_color_widths(self, monkeypatch):
-        lines = []
+        # A kept skeleton large enough for every step, so that _text_bytes
+        # runs only where serialize calls it, not to build a skeleton.
+        monkeypatch.setattr(core, "_TEXT_SLOT", core._text_slot(45))
+        lines, cells = [], []
         monkeypatch.setattr(core, "_read_lines", lambda text: lines.append(text) or _read_lines(text))
-        steps = [(20, 9), (2, 1), (20, 10), (19, 9), (20, 9), (45, 3), (3, 3), (20, 1),
-                 (19, 10), (20, 12), (45, 9), (45, 9), (2, 1), (20, 9), (45, 10), (45, 2)]
+        monkeypatch.setattr(
+            core, "_text_bytes", lambda n, k, *edges: cells.append(n) or _text_bytes(n, k, *edges)
+        )
+        steps = [(20, 9), (2, 1), (20, 10), (19, 9), (20, 9), (45, 3), (3, 3), (20, 1), (1, 0),
+                 (19, 10), (20, 12), (45, 9), (45, 9), (2, 1), (20, 9), (45, 10), (1, 0),
+                 (5, 4), (45, 2)]
         for seed, (n, k) in enumerate(steps):
             c = _k_colored(n, k, seed)
             text = serialize(c)
             assert text == _fstring_serialize(c)
+            # At most 9 colors are written and read over the skeleton, which
+            # keeps the layout of K_n at every n >= 2; K_1 and more colors
+            # are written cell by cell and take the line reader.
+            if n >= 2 and k <= 9:
+                assert not cells and core._TEXT_SLOT[1].n == n
+            else:
+                assert cells == [n]
+                cells.clear()
             assert deserialize(text) == c
             assert deserialize(text) == c
-            # At most 9 colors are read over the skeleton, which keeps the
-            # layout of K_n at every n; more take the line reader.
-            if k <= 9:
+            if n >= 2 and k <= 9:
                 assert not lines and core._TEXT_SLOT[1].n == n
             else:
                 assert lines == [text, text]
@@ -493,7 +549,7 @@ class TestVectorizedText:
         assert deserialize(text) == c
         assert core._text_length(18327, 1) < 2**31 <= core._text_length(18328, 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 19, 101, 300])
     def test_writer_is_byte_identical(self, n):
         for seed, max_colors in ((0, 5), (1, 12)):
             c = random_gallai(n, seed, max_colors)[0]
