@@ -9,6 +9,7 @@ makes star-shaped updates cheap.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -656,24 +657,32 @@ def _coloring_from_entries(
     return Coloring(n, arr, k=k)
 
 
-def _decimals(tokens: list[str]) -> tuple[int, ...]:
-    """Tokens [+-]?[0-9]+ as ints, else ValueError: int() alone also takes
-    other scripts' digits and "_" between digits, but of ASCII without "_"
-    it takes only these."""
-    joined = "".join(tokens)
-    if not joined.isascii() or "_" in joined:
-        raise ValueError
-    return tuple(map(int, tokens))
+# A line of the text: numbers [+-]?[0-9]+ apart by runs of ASCII spaces or
+# tabs, maybe padded with them and ended by the CR of a CRLF.  int() alone
+# also takes other scripts' digits, "_" between digits and other whitespace.
+_NUMBER = r"([+-]?[0-9]+)"
+_HEADER_LINE = re.compile(rf"[ \t]*{_NUMBER}[ \t]+{_NUMBER}[ \t]*\r?")
+_EDGE_LINE = re.compile(rf"[ \t]*{_NUMBER}[ \t]+{_NUMBER}[ \t]+{_NUMBER}[ \t]*\r?")
+_GAP = re.compile(r"[ \t]+")
+
+
+def _numbers(line: re.Pattern, raw: str, ln: Optional[int], shape: str, what: str) -> tuple[int, ...]:
+    """The numbers of ``raw`` read by ``line``, else a ParseError at line
+    ``ln``: "expected <shape>" if it does not hold as many tokens as
+    ``line`` has numbers, else "non-numeric <what>"."""
+    m = line.fullmatch(raw)
+    if m is not None:
+        try:
+            return tuple(map(int, m.groups()))
+        except ValueError:  # more digits than int() converts
+            pass
+    if len(_GAP.split(raw.removesuffix("\r").strip(" \t"))) != line.groups:
+        raise ParseError(f"expected {shape}, got {raw!r}", ln)
+    raise ParseError(f"non-numeric {what} {raw!r}", ln)
 
 
 def _parse_edge_line(raw: str, ln: Optional[int]) -> tuple[int, int, int]:
-    parts = raw.split()
-    if len(parts) != 3:
-        raise ParseError(f"expected 'u v c', got {raw!r}", ln)
-    try:
-        return _decimals(parts)
-    except ValueError:
-        raise ParseError(f"non-numeric edge line {raw!r}", ln) from None
+    return _numbers(_EDGE_LINE, raw, ln, "'u v c'", "edge line")
 
 
 def _parse_edge_item(item: object, ln: Optional[int]) -> tuple[int, int, int]:
@@ -727,22 +736,16 @@ def _read_lines(text: str) -> Coloring:
     """Line-by-line reader: the reference for ``deserialize``, and its reader
     for every text that ``_read_canonical`` refuses.
 
-    Accepts any whitespace between tokens, CRLF line ends, signs and
-    leading zeros, and a missing final LF; a malformed entry's error
-    carries its line number.
+    Accepts runs of spaces or tabs around and between tokens, CRLF line
+    ends, signs and leading zeros, and a missing final LF; a malformed
+    entry's error carries its line number.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError("empty input", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"expected header 'n k', got {lines[0]!r}", 1)
-    try:
-        n, k = _decimals(head)
-    except ValueError:
-        raise ParseError(f"non-numeric header {lines[0]!r}", 1) from None
+    n, k = _numbers(_HEADER_LINE, lines[0], 1, "header 'n k'", "header")
     if n < 1:
         raise InvariantViolation(f"vertex count must be >= 1, got {n}", 1)
     return _coloring_from_entries(n, k, lines[1:], _parse_edge_line, first_line=2)

@@ -40,6 +40,13 @@ def _color_matrix(arr: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
+def _prefix_matrix(arr: np.ndarray, s: int, k: int) -> np.ndarray:
+    """``_color_matrix`` of the coloring on 0..s-1 of a coloring with colex
+    colors ``arr`` and k colors, in the narrowest unsigned dtype that holds
+    k: uint8 for k < 256, then uint16, uint32."""
+    return _color_matrix(arr[: s * (s - 1) // 2].astype(np.min_scalar_type(k)), s)
+
+
 def _row_starts(n: int) -> np.ndarray:
     """Colex offset v(v-1)/2 = 0 + 1 + ... + (v-1) of the down-row of each
     vertex v = 1..n-1."""
@@ -55,143 +62,214 @@ def _mixed_rows(c: Coloring) -> np.ndarray:
     return np.flatnonzero(mixed) + 1
 
 
-def _leads(arr: np.ndarray, n: int) -> np.ndarray:
-    """lead[z] for z = 0..n-1: how many down-edges of z, to 0, 1, ... in
-    turn, share the color of (z, 0) (lead[0] = 0).  Row z is mixed exactly
-    when lead[z] < z.
+# Ranges of at most this many vertices are scanned in one s^3 broadcast:
+# below it, one numpy pass over the cube costs less than a pass per row.
+_BROADCAST_MAX_S = 64
 
-    One O(E) pass: a run break is a colex position whose color differs from
-    the one before it, and the first break past the start of row z, capped
-    at the length z of the row, ends its leading run.
+
+def _runs(ends: np.ndarray, breaks: np.ndarray, lo: int, s: int) -> np.ndarray:
+    """run[z - lo] for z = lo..s-1: how many edges of z, to lo, lo+1, ... in
+    turn, share the color of (z, lo), capped at z - lo.  Row z is mixed from
+    lo exactly when run[z - lo] < z - lo.
+
+    ``breaks`` are the colex positions whose color differs from the one
+    before, ascending, and ``ends`` the same with the edge count appended:
+    the first break past the position of (z, lo) ends its run.
     """
-    starts = _row_starts(n)
-    breaks = np.flatnonzero(arr[1:] != arr[:-1]) + 1
-    ends = np.append(breaks, arr.size)[np.searchsorted(breaks, starts, side="right")]
-    return np.concatenate(([0], np.minimum(ends - starts, np.arange(1, n))))
+    z = np.arange(lo, s)
+    at = z * (z - 1) // 2 + lo
+    return np.minimum(ends[np.searchsorted(breaks, at, side="right")] - at, z - lo)
 
 
-# Below this many vertices in 0..s-1 no prefix module is sought: on
-# generator output, splitting one off first saves more scan time than it
-# costs from about s = 48 up.  Below it in n, ``rainbow_witness`` finds s
-# with the cheaper ``reduceat`` pass of ``_mixed_rows`` instead of the leads.
-_MODULE_MIN_S = 48
+def _module_end(run: np.ndarray, lo: int, s: int) -> Optional[int]:
+    """The largest t with lo + 3 <= t < s such that every z in t..s-1 joins
+    lo..t-1 in one color (run[z - lo] >= t - lo, ``_runs``), or None."""
+    m = s - lo
+    floor = np.minimum.accumulate(run[m - 1 : 2 : -1])[::-1]  # min(run[i:m]), i = 3..m-1
+    cuts = np.flatnonzero(floor >= np.arange(3, m))
+    return lo + int(cuts[-1]) + 3 if cuts.size else None
 
 
-def _prefix_module(lead: Optional[np.ndarray], s: int) -> int:
-    """The largest t with 3 <= t < s and lead[z] >= t for every z in [t, s),
-    or 1 if there is none (or s is below ``_MODULE_MIN_S``).
+def _next_start(mat: np.ndarray, lo: int) -> int:
+    """The least x in lo+1..s-3 (s = len(mat)) that can start a module
+    x..t-1 with t >= x+3 of the range x..s-1, or s-2 if there is none.
 
-    Every vertex from t up then joins 0..t-1 in one color: 0..t-1 is a
-    module, and t = 1 is the trivial one.
+    If row s-1 of ``mat`` is mixed from x, s-1 joins the module in one
+    color and so is not t: rows s-2 and s-1 both have one color at x, x+1
+    and x+2.  Else row s-1 has one color from x on.
     """
-    if s < _MODULE_MIN_S:
-        return 1
-    floor = np.minimum.accumulate(lead[s - 1 : 2 : -1])[::-1]  # min(lead[z:s]), z = 3..s-1
-    cuts = np.flatnonzero(floor >= np.arange(3, s))
-    return int(cuts[-1]) + 3 if cuts.size else 1
+    s = len(mat)
+    last, prev = mat[s - 1, lo + 1 : s - 1], mat[s - 2, lo + 1 : s - 1]
+    same = (last[:-2] == last[1:-1]) & (last[1:-1] == last[2:])
+    same &= (prev[:-2] == prev[1:-1]) & (prev[1:-1] == prev[2:])
+    changes = np.flatnonzero(last[1:] != last[:-1])  # the last run starts one past the last
+    x = min(s - 3 - lo, int(changes[-1]) + 1 if changes.size else 0)
+    if same[:x].any():
+        x = int(same.argmax())
+    return lo + 1 + x
 
 
-def _sub_colex(arr: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """The colex colors of the coloring induced on ``verts`` (ascending)."""
-    q = verts.size
-    lens = np.arange(1, q)
-    upper = np.repeat(verts[1:], lens)
-    lower = verts[np.arange(q * (q - 1) // 2) - np.repeat(lens.cumsum() - lens, lens)]
-    return arr[upper * (upper - 1) // 2 + lower]
+def _broadcast(mat: np.ndarray, lo: int) -> Optional[tuple[int, int, int]]:
+    """The first rainbow (u, v, w) of the color matrix ``mat`` inside lo..s-1
+    (s = len(mat)), from one s^3 broadcast over the range."""
+    sub = mat[lo:, lo:]
+    uv, uw, vw = sub[:, :, None], sub[:, None, :], sub[None, :, :]
+    bad = uv != uw
+    bad &= uv != vw
+    bad &= uw != vw
+    h = int(bad.argmax())
+    if not bad.flat[h]:
+        return None
+    m = len(sub)
+    return (lo + h // (m * m), lo + h // m % m, lo + h % m)
+
+
+def _row(mat: np.ndarray, u: int, t: int) -> Optional[tuple[int, int, int]]:
+    """The first rainbow (u, v, w) of the color matrix ``mat`` with
+    t <= v < w < len(mat)."""
+    m = len(mat) - t
+    a = mat[u, t:]
+    sub = mat[t:, t:]
+    bad = a[:, None] != a[None, :]
+    bad &= a[:, None] != sub
+    bad &= a[None, :] != sub
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        h = int(hits[0])
+        return (u, t + h // m, t + h % m)
+    return None
 
 
 def _scan(mat: np.ndarray, rows: range) -> Optional[tuple[int, int, int]]:
     """The first rainbow (u, v, w) of the color matrix ``mat`` with u in ``rows``."""
-    size = len(mat)
     for u in rows:
-        m = size - u - 1
-        a = mat[u, u + 1 :]
-        sub = mat[u + 1 :, u + 1 :]
-        bad = (a[:, None] != a[None, :]) & (a[:, None] != sub) & (a[None, :] != sub)
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            h = int(hits[0])
-            return (u, u + 1 + h // m, u + 1 + h % m)
+        hit = _row(mat, u, u + 1)
+        if hit is not None:
+            return hit
     return None
 
 
-def _first_rainbow(
-    arr: np.ndarray, lead: Optional[np.ndarray], mixed: np.ndarray, dtype: np.dtype
+def _first_from(
+    mat: np.ndarray, run: np.ndarray, lo: int, s: int, ranges: list[tuple[int, int]]
 ) -> Optional[tuple[int, int, int]]:
-    """``rainbow_witness`` of the coloring on 0..s-1, where s-1 is the last
-    of the ascending ``mixed`` rows; ``arr`` holds the colex colors and
-    ``lead`` the leads (``_leads``, None below ``_MODULE_MIN_S`` vertices)
-    of a coloring that has it as a prefix."""
-    if mixed.size == 0:
-        return None
-    s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
-    t = _prefix_module(lead, s)
-    inner = None
-    if t > 1:
-        inner = _first_rainbow(arr, lead, mixed[: np.searchsorted(mixed, t)], dtype)
-    if inner is not None and inner[0] == 0:
-        return inner
-    # The quotient: 0 stands for the module 0..t-1, beside t..s-1.  Its
-    # rows after the first only matter when the module has no witness.
-    q = s - t + 1
-    verts = np.concatenate(([0], np.arange(t, s))) if t > 1 else None
-    colex = arr[: s * (s - 1) // 2] if verts is None else _sub_colex(arr, verts)
-    mat = _color_matrix(colex.astype(dtype), q)
-    hit = _scan(mat, range(1) if inner is not None else range(q - 2))
-    if hit is None:
-        return inner
-    return hit if verts is None else tuple(int(verts[x]) for x in hit)
+    """The first rainbow triangle inside lo..s-1 if it starts below every
+    range left to scan; else None, after pushing those ranges on
+    ``ranges``, the lowest last.
+
+    ``run`` holds the runs from lo (``_runs``) of at least lo..s-1.  While
+    the range has a prefix module lo..t-1, it is cut to lo..t-1, and the row
+    of lo over t..s-1 and the range t..s-1 are kept.  The innermost range
+    is scanned in one broadcast, or row by row up to the next vertex that
+    can start a module, from which one more range is left.  See
+    ``rainbow_witness``.
+    """
+    mixed = np.flatnonzero(run < np.arange(run.size))  # offsets from lo
+    peeled: list[tuple[int, int]] = []  # (t, s), outermost first
+    hit, rest = None, None
+    while True:
+        below = int(np.searchsorted(mixed, s - lo))
+        if below == 0:
+            break
+        s = lo + int(mixed[below - 1]) + 1  # star suffix
+        if s - lo <= _BROADCAST_MAX_S:
+            hit = _broadcast(mat[:s, :s], lo)
+            break
+        t = _module_end(run, lo, s)
+        if t is None:
+            x = _next_start(mat[:s, :s], lo)
+            hit = _scan(mat[:s, :s], range(lo, x))
+            rest = (x, s) if x < s - 2 else None
+            break
+        peeled.append((t, s))
+        s = t
+    if hit is not None and hit[0] == lo:
+        return hit
+    for t, top in reversed(peeled):
+        row_hit = _row(mat[:top, :top], lo, t)
+        if row_hit is not None:
+            return row_hit
+    if hit is not None:
+        return hit
+    ranges += peeled
+    if rest is not None:
+        ranges.append(rest)
+    return None
 
 
 def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     """Return the lexicographically first rainbow triangle (u, v, w), or None.
 
-    Star-suffix argument: if all down-edges of a vertex w (those to 0..w-1)
-    share one color, w is not the top of any rainbow triangle, since its two
-    edges in the triangle agree.  Let s be the least vertex such that every
-    vertex from s up has a one-color down-row.  Then every rainbow triangle
-    lies inside 0..s-1.
+    The search runs over vertex ranges lo..s-1, starting from 0..n-1, and
+    looks for triangles inside the range.  Two arguments shrink each range.
 
-    Prefix-module argument: let t < s be such that every vertex z in
-    t..s-1 sends its edges to 0..t-1 in one color, so 0..t-1 is a module
-    (Gallai's substitution; the 8k^2+1 construction puts its block on top of
-    the rest this way).  A triangle with two vertices in 0..t-1 has two
-    equal edges.  A triangle with one vertex x in 0..t-1 has the colors of
-    the one with x replaced by 0, which is lexicographically no larger.  So
-    the first rainbow triangle is the lexicographically smaller of the first
-    one inside 0..t-1, found by the same rule, and the first one of the
-    quotient 0, t, ..., s-1.  Lex order decides between them: an inner
-    witness with u = 0 wins; else a quotient witness with u = 0; else the
-    inner witness, if any; else the rest of the quotient.  The largest such
-    t with t >= 3 is taken; for s below ``_MODULE_MIN_S`` none is sought.
+    Star-suffix argument: if the edges of a vertex w to lo..w-1 share one
+    color, w is not the top of any rainbow triangle in the range, since its
+    two edges in the triangle agree.  So the range ends after its last
+    vertex whose edges down to lo are mixed.
 
-    Cost: one O(E) pass finds s: ``_leads``, which also gives t at every
-    level, or below ``_MODULE_MIN_S`` vertices the cheaper ``reduceat``
-    pass of ``_mixed_rows``.  The cubic scan then runs only on the
-    quotients, so a substitution such as the 8k^2+1 construction is scanned
-    block by block.  A coloring with no prefix module, such as a
-    label-shuffled one, costs O(s^3) as before.
+    Prefix-module argument: let lo + 3 <= t < s be such that every vertex z
+    in t..s-1 sends its edges to lo..t-1 in one color, so lo..t-1 is a
+    module (Gallai's substitution; the generator and the 8k^2+1
+    construction nest blocks this way).  A triangle with two vertices in
+    lo..t-1 has two equal edges.  A triangle (x, v, w) with x in lo..t-1
+    has the colors of (lo, v, w), which is lexicographically no larger.  So
+    the candidates are the first triangle inside lo..t-1 (found the same
+    way), the first rainbow (lo, v, w) with v, w in t..s-1 (one m^2 pass
+    over the row of lo) and the first triangle inside t..s-1 (a range of its
+    own).  Lex order picks, in turn: an inner witness with u = lo; else a
+    row witness; else the inner witness; else one from t..s-1.  The largest
+    such t is taken, at every range start lo, and the inner range is cut
+    again at lo; its row passes run innermost first, and the ranges t..s-1
+    wait on an explicit stack, lowest on top, so no Python recursion grows
+    with n.  The runs that give s and t at lo are one ``searchsorted`` of
+    the colex color breaks (``_runs``).
 
-    The scan is vectorized row by row on a color matrix of the narrowest
-    unsigned dtype that holds k.  For the row of u, ``bad[i, j]`` says that
-    (u, v, w) with v = u+1+i, w = u+1+j is rainbow.  It is symmetric in
-    (i, j), since the color matrix is, and false on the diagonal, where
-    a[i] != a[j] fails.  So if (i, j) is a hit with i > j, then (j, i) is a
-    hit too and comes first in row-major order: the first row-major hit has
-    v < w, and as row-major order on i < j is the lexicographic order of
-    (v, w), it is the lexicographically first witness with smallest vertex
-    u.  No triangular mask is needed.
+    A range of at most ``_BROADCAST_MAX_S`` vertices is scanned in one
+    broadcast: ``bad[u, v, w]`` says that (u, v, w) is rainbow.  It is
+    symmetric under permuting (u, v, w), and false when two of them are
+    equal, since then two of the three edges agree (the diagonal is 0).  So
+    the first row-major hit, the lexicographically smallest hit, is the
+    lexicographically first witness, with u < v < w.  A larger range with
+    no prefix module at lo is scanned row by row up to the next x where a
+    module can start (``_next_start``), and x..s-1 becomes a range.
+
+    Cost: one O(E) pass over the colors finds s: the ``reduceat`` pass of
+    ``_mixed_rows`` up to ``_BROADCAST_MAX_S`` vertices, where one broadcast
+    follows, else the color breaks.  Each range start and each module cut
+    costs O(s) more.  The cubic work runs only on the rows of the range
+    starts and on ranges of at most ``_BROADCAST_MAX_S`` vertices, so a
+    nest of substitutions is scanned block by block.  A coloring with no
+    contiguous module, such as a label-shuffled one, costs O(s^3).
+
+    The scans run on a color matrix of 0..s-1 only (``_prefix_matrix``).
+    For the row of u over t..s-1,
+    ``bad[i, j]`` says that (u, v, w) with v = t+i, w = t+j is rainbow.
+    It is symmetric in (i, j), since the color matrix is, and false on the
+    diagonal, so the first row-major hit has v < w and is the
+    lexicographically first with that u.  No triangular mask is needed.
     """
     if c.n < 3 or c.k < 3:
         return None
     arr = c.colex_colors()
-    if c.n < _MODULE_MIN_S:
-        lead, mixed = None, _mixed_rows(c)
-    else:
-        lead = _leads(arr, c.n)
-        mixed = np.flatnonzero(lead != np.arange(c.n))
-    # uint8 for k < 256, then uint16, uint32
-    return _first_rainbow(arr, lead, mixed, np.min_scalar_type(c.k))
+    if c.n <= _BROADCAST_MAX_S:
+        # No module is sought, so the star cut takes the cheaper pass.
+        mixed = _mixed_rows(c)
+        return _broadcast(_prefix_matrix(arr, int(mixed[-1]) + 1, c.k), 0) if mixed.size else None
+    breaks = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    ends = np.append(breaks, arr.size)
+    run = _runs(ends, breaks, 0, c.n)
+    mixed = np.flatnonzero(run < np.arange(c.n))
+    if mixed.size == 0:
+        return None
+    s = int(mixed[-1]) + 1  # the last mixed row belongs to vertex s-1
+    mat = _prefix_matrix(arr, s, c.k)
+    ranges = [(0, s)]
+    while ranges:
+        lo, s = ranges.pop()
+        hit = _first_from(mat, run if lo == 0 else _runs(ends, breaks, lo, s), lo, s, ranges)
+        if hit is not None:
+            return hit
+    return None
 
 
 def is_gallai(c: Coloring) -> bool:

@@ -21,6 +21,15 @@ def naive_rainbow(c: Coloring):
     return None
 
 
+def nested_modules(n: int) -> Coloring:
+    """K_n where vertex 2j has color 1 below it and vertex 2j+1 has color 2
+    to 0..2j-1 and color 3 to 2j: the modules 0..2j-1 nest n/2 deep, and
+    (0, 2, 3) is the first rainbow triangle."""
+    return Coloring(n, [
+        col for v in range(1, n) for col in ([1] * v if v % 2 == 0 else [2] * (v - 1) + [3])
+    ])
+
+
 def compact_colors(raw: list[int]) -> list[int]:
     """Remap arbitrary positive ids onto 1..k so Coloring accepts them."""
     used = sorted(set(raw))

@@ -2,8 +2,10 @@ import pytest
 
 from gallai import construct, generator, oracle
 from gallai.cli import main
-from gallai.core import BudgetExceeded, InternalScheduleError, deserialize
+from gallai.core import BudgetExceeded, InternalScheduleError, deserialize, serialize
 from gallai.verify import class_sizes, is_gallai
+
+from conftest import nested_modules
 
 
 def run(capsys, *argv):
@@ -124,6 +126,15 @@ class TestVerify:
         assert code == 1
         assert "gallai: false" in stdout
         assert "rainbow triangle" in stdout
+
+    def test_deeply_nested_modules(self, tmp_path, capsys):
+        # 1,100 nested modules went past the recursion limit of a scan that
+        # called itself per module, and verify printed a traceback.
+        path = tmp_path / "nested.coloring"
+        path.write_text(serialize(nested_modules(2200)))
+        code, stdout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "rainbow triangle: 0 2 3" in stdout.splitlines()
 
     def test_corrupt_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "corrupt.coloring"

@@ -765,24 +765,28 @@ class TestWorkCounts:
         # This request peels two stars to the 8k^2+1 threshold, where a block
         # of 4k+1 = 21 vertices sits on top of a four-color part and joins it
         # in color 1.  A scan of every row below the last mixed one ran 194
-        # rows; split at that prefix module, only the quotient (vertex 0 and
-        # the block) and the part's K_8 base are left to scan.
+        # rows; split at that prefix module, only the row of vertex 0 over
+        # the block and the block itself are left to scan.
         from gallai import verify
 
         d = canonicalize([11153, 4900, 1683, 1638, 1129], 203)
         construct_any(d)  # pays first-call costs, such as the oracle's table
-        rows = []
-        real_scan = verify._scan
+        sizes = []  # vertices each row pass or broadcast looked at
 
-        def scan(mat, scanned):
-            rows.append(len(scanned))
-            return real_scan(mat, scanned)
+        def spy(name):
+            real = getattr(verify, name)
+
+            def scan(mat, *at):  # _row(mat, u, t) or _broadcast(mat, lo)
+                sizes.append(len(mat) - at[-1])
+                return real(mat, *at)
+            return scan
 
         with monkeypatch.context() as m:
-            m.setattr(verify, "_scan", scan)
+            for name in ("_row", "_broadcast"):
+                m.setattr(verify, name, spy(name))
             c, calls = self._counted(monkeypatch, lambda: construct_any(d))
         assert calls["rainbow_witness"] == 1
-        assert 0 < sum(rows) <= 30
+        assert sizes and max(sizes) <= 21
         verified(c, d.sizes)
 
     def test_table_fallback_searches_and_certifies_once(self, monkeypatch):

@@ -300,6 +300,31 @@ class TestSerialization:
         assert str(exc.value) == f"line {line}: non-numeric {what} {raw!r}"
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2003"])
+    def test_only_spaces_and_tabs_separate_tokens(self, space):
+        # str.split() also splits at these, so each text here read as K_3.
+        texts = {
+            f"3 1\n0 1 1\n0 2 1\n1{space}2 1\n": (4, "expected 'u v c', got"),
+            f"3 1\n0 1 1\n0 2 1\n1 2 1{space}\n": (4, "non-numeric edge line"),
+            f"3{space}1\n0 1 1\n0 2 1\n1 2 1\n": (1, "expected header 'n k', got"),
+            f"{space}3 1\n0 1 1\n0 2 1\n1 2 1\n": (1, "non-numeric header"),
+        }
+        for text, (line, what) in texts.items():
+            raw = text.split("\n")[line - 1]
+            with pytest.raises(ParseError) as exc:
+                deserialize(text)
+            assert str(exc.value) == f"line {line}: {what} {raw!r}"
+            assert exc.value.line == line
+
+    def test_number_too_long_for_int_is_refused_at_its_line(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4,300
+        # by default) where the interpreter has that limit; elsewhere the
+        # color is out of range.  Either way the error is at line 4.
+        text = "3 1\n0 1 1\n0 2 1\n1 2 " + "1" * 5000 + "\n"
+        with pytest.raises(ParseError) as exc:
+            deserialize(text)
+        assert exc.value.line == 4
+
     def test_huge_header_without_edges_fails_at_once(self):
         # The entry count is checked against n(n-1)/2 before anything is
         # allocated; building the edge list first would ask for ~5*10^9 slots.

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import product
 
 import numpy as np
@@ -32,7 +34,7 @@ from gallai.verify import (
     validate_gallai_partition,
 )
 
-from conftest import arbitrary_colorings, compact_colors, label_partitions, naive_rainbow
+from conftest import arbitrary_colorings, compact_colors, label_partitions, naive_rainbow, nested_modules
 
 
 def special(n, groups):
@@ -66,10 +68,67 @@ def prefix_module_colorings(draw):
     return Coloring(t + tops + stars, compact_colors(raw))
 
 
+@st.composite
+def nested_block_colorings(draw, max_n: int):
+    """Nested substitutions of contiguous blocks, then maybe one edge moved
+    to a fresh color.
+
+    Each range is cut into 2 to 5 blocks joined in one or two colors of 1..6,
+    as ``random_gallai`` does, or has 1 to 3 vertices cut off one end, which
+    nests modules deeply; every block after the first of a cut is a module
+    that starts at a nonzero vertex.
+    """
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    mat = np.zeros((n, n), dtype=np.int32)
+    todo = [(0, n)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        if rng.random() < 0.4:
+            cut = rng.randint(1, min(3, hi - lo - 1))
+            cuts = [lo + cut] if rng.random() < 0.5 else [hi - cut]
+        else:
+            cuts = sorted(rng.sample(range(lo + 1, hi), min(hi - lo - 1, rng.randint(1, 4))))
+        bounds = [lo, *cuts, hi]
+        palette = rng.sample(range(1, 7), rng.randint(1, 2))
+        for i, (a0, a1) in enumerate(zip(bounds, bounds[1:])):
+            for b0, b1 in zip(bounds[i + 1 :], bounds[i + 2 :]):
+                mat[b0:b1, a0:a1] = rng.choice(palette)
+        todo += zip(bounds, bounds[1:])
+    colors = mat[np.tri(n, k=-1, dtype=bool)]
+    if draw(st.booleans()):
+        colors[draw(st.integers(min_value=0, max_value=colors.size - 1))] = 7
+    return Coloring(n, compact_colors(colors.tolist()))
+
+
+def _label_shuffled(c: Coloring, seed: int) -> Coloring:
+    """``c`` with its vertices relabelled by a seeded permutation, which
+    leaves it few contiguous modules to split off."""
+    perm = np.random.default_rng(seed).permutation(c.n)
+    return Coloring(c.n, _color_matrix(c.colex_colors(), c.n)[np.ix_(perm, perm)][np.tri(c.n, k=-1, dtype=bool)])
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record (args, result) of every call of ``verify.<name>``."""
+    calls = []
+    real = getattr(verify, name)
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
 @pytest.fixture
 def modules_at_every_size(monkeypatch):
-    """Let ``rainbow_witness`` split off prefix modules on small colorings."""
-    monkeypatch.setattr(verify, "_MODULE_MIN_S", 3)
+    """Let ``rainbow_witness`` split ranges of any size by modules and rows
+    where it would scan them in one broadcast."""
+    monkeypatch.setattr(verify, "_BROADCAST_MAX_S", 2)
 
 
 class TestRainbow:
@@ -125,10 +184,19 @@ class TestRainbow:
     @settings(max_examples=300)
     def test_prefix_module_keeps_the_first_witness(self, c):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(verify, "_MODULE_MIN_S", 3)
+            m.setattr(verify, "_BROADCAST_MAX_S", 2)
             assert rainbow_witness(c) == naive_rainbow(c)
 
-    def test_quotient_witness_at_zero_beats_a_later_inner_one(self, modules_at_every_size):
+    @given(nested_block_colorings(max_n=12))
+    @settings(max_examples=300)
+    def test_nested_modules_keep_the_first_witness(self, c):
+        want = naive_rainbow(c)
+        assert rainbow_witness(c) == want
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verify, "_BROADCAST_MAX_S", 2)
+            assert rainbow_witness(c) == want
+
+    def test_quotient_witness_at_zero_beats_a_later_inner_one(self, modules_at_every_size, monkeypatch):
         # 0..3 is a module with its own rainbow triangle (1, 2, 3); vertices
         # 4 and 5 join it in colors 2 and 3 and each other in color 1, so the
         # quotient 0, 4, 5 is rainbow and comes first.
@@ -137,17 +205,37 @@ class TestRainbow:
         c = Coloring.from_edges(
             6, [(u, v, recolor.get((u, v), 1)) for v in range(6) for u in range(v)]
         )
-        assert verify._prefix_module(verify._leads(c.colex_colors(), 6), 6) == 4
+        ends = _spy(monkeypatch, "_module_end")
         assert rainbow_witness(c) == naive_rainbow(c) == (0, 4, 5)
+        assert [(args[1:], t) for args, t in ends] == [((0, 6), 4), ((0, 4), None)]
 
-    def test_inner_witness_at_zero_beats_the_quotient(self, modules_at_every_size):
+    def test_inner_witness_at_zero_beats_the_quotient(self, modules_at_every_size, monkeypatch):
         # 0..2 is a rainbow module; vertices 3 and 4 join it in colors 2 and
         # 3 and each other in color 1, so the quotient 0, 3, 4 is rainbow too.
         colors = {(0, 1): 1, (0, 2): 2, (1, 2): 3, (3, 4): 1,
                   **{(u, 3): 2 for u in range(3)}, **{(u, 4): 3 for u in range(3)}}
         c = Coloring.from_edges(5, [(u, v, col) for (u, v), col in colors.items()])
-        assert verify._prefix_module(verify._leads(c.colex_colors(), 5), 5) == 3
+        ends = _spy(monkeypatch, "_module_end")
+        rows = _spy(monkeypatch, "_row")
         assert rainbow_witness(c) == naive_rainbow(c) == (0, 1, 2)
+        assert [(args[1:], t) for args, t in ends] == [((0, 5), 3), ((0, 3), None)]
+        # The inner witness starts at 0, so the row of 0 over 3..4 is not scanned.
+        assert [(args[1:], len(args[0])) for args, _ in rows] == [((0, 1), 3)]
+
+    def test_deeply_nested_modules_need_no_recursion(self):
+        # A scan that called itself once per module went past the recursion
+        # limit on these 1,100 nested modules.  Here the limit leaves 50
+        # frames above the test's own.
+        c = nested_modules(2200)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            w = rainbow_witness(c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w == _int32_rainbow_witness(c) == (0, 2, 3)
+        small = nested_modules(12)
+        assert rainbow_witness(small) == naive_rainbow(small) == (0, 2, 3)
 
     def test_one_color_row_below_a_mixed_row_is_scanned(self):
         # Vertex 3 has a one-color down-row but sits below the mixed row of
@@ -351,6 +439,47 @@ class TestRainbowAgainstInt32Scan:
             moved[at] = c.k + 1
             m = Coloring(n, moved)
             assert rainbow_witness(m) == _int32_rainbow_witness(m)
+
+    @given(nested_block_colorings(max_n=150))
+    @settings(max_examples=60, deadline=None)
+    def test_nested_modules_with_one_fresh_edge(self, c):
+        assert rainbow_witness(c) == _int32_rainbow_witness(c)
+
+    @pytest.mark.parametrize("n", [70, 110, 150])
+    def test_label_shuffled_generator_output(self, n):
+        # Relabelled, a substitution has few contiguous modules: the scan
+        # goes row by row between the vertices that could start one.
+        rng = random.Random(n)
+        for seed in range(3):
+            c = _label_shuffled(random_gallai(n, seed)[0], seed)
+            assert rainbow_witness(c) is _int32_rainbow_witness(c) is None
+            arr = c.colex_colors().tolist()
+            arr[rng.randrange(len(arr))] = c.k + 1
+            moved = Coloring(n, arr)
+            assert rainbow_witness(moved) == _int32_rainbow_witness(moved)
+
+    @pytest.mark.parametrize("s", [64, 65])
+    def test_broadcast_up_to_the_cutoff_and_rows_above(self, s, monkeypatch):
+        # Edge (0, s-1) in a fresh color keeps s-1 the last mixed row, so
+        # 0..s-1 is the first range.  Up to _BROADCAST_MAX_S vertices it is
+        # scanned in one broadcast; above, from the rows of 0 up.
+        assert verify._BROADCAST_MAX_S == 64
+        for seed in range(4):
+            c = _label_shuffled(random_gallai(s, seed)[0], seed)
+            arr = c.colex_colors().copy()
+            for at in (edge_index(0, s - 1), edge_index(s // 2, s - 2)):
+                arr[at] = c.k + 1
+                moved = Coloring(s, arr)
+                with monkeypatch.context() as m:
+                    wide = _spy(m, "_broadcast")
+                    rows = _spy(m, "_row")
+                    assert rainbow_witness(moved) == _int32_rainbow_witness(moved)
+                if s == 64:
+                    assert [(len(args[0]), args[1]) for args, _ in wide] == [(64, 0)]
+                    assert rows == []
+                else:
+                    assert all(len(args[0]) - args[1] <= 64 for args, _ in wide)
+                    assert rows[0][0][1:] == (0, 1)
 
     def test_more_than_255_colors(self):
         # One star per vertex: vertex v has color 260 - v below it.  Edge
