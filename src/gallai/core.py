@@ -419,12 +419,6 @@ def _lex_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, v.astype(np.int64) * (v - 1) // 2 + u
 
 
-def _lex_edges(c: Coloring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, v and color of every edge, in lexicographic order of (u, v)."""
-    u, v, at = _lex_order(c.n)
-    return u, v, c.colex_colors()[at]
-
-
 def _digit_table(count: int) -> np.ndarray:
     """Row i holds the ASCII decimal digits of i, right-aligned, for i < count.
 
@@ -435,22 +429,24 @@ def _digit_table(count: int) -> np.ndarray:
     return np.where((x >= power) | (power == 1), x // power % 10 + ord("0"), 0).astype(np.uint8)
 
 
-def _text_bytes(n: int, k: int, u: np.ndarray, v: np.ndarray, colors: np.ndarray) -> bytes:
-    """The text format of the edges (u[i], v[i]) colored colors[i] in 1..k.
+def _text_bytes(n: int, color: int) -> bytes:
+    """The text of K_n with every edge colored ``color``, header included.
 
     Every line is laid out in fixed-width cells, padding included, and the
     padding is dropped in one pass, so no Python code runs per edge.
     """
-    vertex, color = _digit_table(n), _digit_table(k + 1)
-    w, wc = vertex.shape[1], color.shape[1]
+    u, v = (a.astype(np.int32) for a in np.triu_indices(n, 1))
+    colors = np.full(len(u), color, dtype=np.int32)
+    vertex, digits = _digit_table(n), _digit_table(color + 1)
+    w, wc = vertex.shape[1], digits.shape[1]
     cells = np.empty((len(u), 2 * w + wc + 3), dtype=np.uint8)
     cells[:, :w] = vertex.take(u, axis=0)
     cells[:, w] = ord(" ")
     cells[:, w + 1 : 2 * w + 1] = vertex.take(v, axis=0)
     cells[:, 2 * w + 1] = ord(" ")
-    cells[:, 2 * w + 2 : -1] = color.take(colors, axis=0)
+    cells[:, 2 * w + 2 : -1] = digits.take(colors, axis=0)
     cells[:, -1] = ord("\n")
-    return f"{n} {k}\n".encode("ascii") + cells[cells != 0].tobytes()
+    return f"{n} {color}\n".encode("ascii") + cells[cells != 0].tobytes()
 
 
 # The skeleton is built for the next multiple of this many vertices, so a
@@ -474,9 +470,9 @@ def _digit_total(n: int) -> int:
 
 
 def _over_skeleton(n: int, k: int) -> bool:
-    """Whether texts of K_n with k colors are written and read over the kept
-    skeleton.  More colors than edges (K_2 to K_4 only) are left to
-    _read_lines, which refuses them with the header's line number."""
+    """Whether texts of K_n with k colors are read over the kept skeleton.
+    More colors than edges (K_2 to K_4 only) are left to _read_lines, which
+    refuses them with the header's line number."""
     return n >= 2 and 1 <= k <= min(9, total_edges(n))
 
 
@@ -488,47 +484,57 @@ def _text_length(n: int, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
-    """The body of the canonical text of K_N colored all 1, with the
-    per-vertex sums that lay out the text of any K_n, n <= N, over it.
+    """The body of the text of K_N with every color written in ``width``
+    digits, with the per-vertex sums that lay out the text of any K_n,
+    n <= N, with colors of that many digits over it.
 
-    Row u of a text of K_n with one-digit colors lists the edges (u, v) for
-    v = u+1..n-1, so for every n <= N it is a byte prefix of row u here
-    with the colors written in.
+    Row u of such a text of K_n lists the edges (u, v) for v = u+1..n-1, so
+    for every n <= N it is a byte prefix of row u here with the colors
+    written in.
     """
 
     # colex_start and step are int32 while the text of K_N is shorter than
     # _INT32_TEXT bytes, else int64; layouts compute in the same width.
     size: int
+    width: int  # the digits of every color slot
     body: memoryview
     starts: list[int]  # where row u begins in body
-    width: np.ndarray  # the bytes of a line of row u besides v: digits(u) + 4
-    lead: np.ndarray  # u * width[u] + digits(0) + ... + digits(u)
+    line: np.ndarray  # the bytes of a line of row u besides v: digits(u) + 3 + width
+    lead: np.ndarray  # u * line[u] + digits(0) + ... + digits(u)
     colex_start: np.ndarray  # v(v-1)/2, where the edges (., v) begin in colex order
-    step: np.ndarray  # [v, b]: v (b + 5) + digits(0) + ... + digits(v)
+    step: np.ndarray  # [v, b]: v (b + 4 + width) + digits(0) + ... + digits(v)
     band: np.ndarray  # [v, b]: how many u < v have b + 1 digits
 
 
-def _build_skeleton(size: int) -> _Skeleton:
-    u, v = (a.astype(np.int32) for a in np.triu_indices(size, 1))
-    text = _text_bytes(size, 1, u, v, np.ones(len(u), dtype=np.int32))
+def _build_skeleton(size: int, width: int) -> _Skeleton:
+    # Every color is written as 10^(width-1), the least number of that width.
+    # A kept one-digit skeleton of the same size has " 1\n" at its color
+    # slots and nowhere else, and widening them there is about twice as
+    # fast as laying the text out again.
+    narrow = _TEXT_SLOTS.get(1)
+    if width > 1 and narrow is not None and narrow[0].size == size:
+        text = narrow[0].body.obj.replace(b" 1\n", b" 1" + b"0" * (width - 1) + b"\n")
+    else:
+        text = _text_bytes(size, 10 ** (width - 1))
     vertex = np.arange(size)
     # Vertices low[b] up to high[b] - 1 have b + 1 digits.
     high = 10 ** np.arange(1, len(str(size - 1)) + 1)
     low = high // 10 * (high > 10)
     digits = (vertex[:, None] >= low).sum(axis=1)
     upto = np.cumsum(digits)
-    width = digits + 4
-    lead = vertex * width + upto
-    rows = (size - 1) * width - lead + upto[-1]
+    line = digits + 3 + width
+    lead = vertex * line + upto
+    rows = (size - 1) * line - lead + upto[-1]
     # The texts of K_n, n <= size, are no longer than this one.
     wide = np.int32 if len(text) < _INT32_TEXT else np.int64
-    step = vertex[:, None] * (np.arange(len(low)) + 5) + upto[:, None]
+    step = vertex[:, None] * (np.arange(len(low)) + 4 + width) + upto[:, None]
     band = np.clip(vertex[:, None] - low, 0, high - low)
     return _Skeleton(
         size,
-        memoryview(text)[len(f"{size} 1\n") :],
-        (np.cumsum(rows) - rows).tolist(),
         width,
+        memoryview(text)[len(str(size)) + 2 + width :],
+        (np.cumsum(rows) - rows).tolist(),
+        line,
         lead,
         (vertex * (vertex - 1) // 2).astype(wide),
         step.astype(wide),
@@ -538,9 +544,9 @@ def _build_skeleton(size: int) -> _Skeleton:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Any canonical text of K_n with k <= 9: its header, then ``rows``
-    joined, with the color of the i-th edge in colex order at byte
-    ``at[i]``."""
+    """Any canonical text of K_n whose k has the skeleton's width in digits:
+    its header, then ``rows`` joined, with the first byte of the color slot
+    of the i-th edge in colex order at byte ``at[i]``."""
 
     n: int
     rows: list[memoryview]
@@ -549,14 +555,15 @@ class _Layout:
 
 def _layout(skeleton: _Skeleton, n: int) -> _Layout:
     """The layout of K_n, n <= the skeleton's size, in O(n^2) arithmetic."""
-    width, lead = skeleton.width[:n], skeleton.lead[:n]
-    rows = (n - 1) * width - lead + _digit_total(n)
-    # Row u starts at first[u], and the color of edge (u, v) is the byte
-    # before the LF of its line:
-    #   first[u] + (v - u) width[u] + digits(u + 1) + ... + digits(v) - 2
-    #   = base[u] + v width[u] + digits(0) + ... + digits(v).
-    first = len(f"{n} 1\n") + np.cumsum(rows) - rows
-    base = (first - lead - 2).astype(skeleton.colex_start.dtype)
+    line, lead, width = skeleton.line[:n], skeleton.lead[:n], skeleton.width
+    rows = (n - 1) * line - lead + _digit_total(n)
+    # Row u starts at first[u], after the header of digits(n) + 2 + width
+    # bytes, and the color slot of edge (u, v) is the width bytes before
+    # the LF of its line:
+    #   first[u] + (v - u) line[u] + digits(u + 1) + ... + digits(v) - 1 - width
+    #   = base[u] + v line[u] + digits(0) + ... + digits(v).
+    first = len(str(n)) + 2 + width + np.cumsum(rows) - rows
+    base = (first - lead - (1 + width)).astype(skeleton.colex_start.dtype)
     # Colex row v holds the edges (u, v), u = 0..v-1.  Along it, the last
     # two terms are constant while the digit count of u is: ``step`` once
     # per band of u, repeated ``band`` times.
@@ -571,27 +578,30 @@ def _layout(skeleton: _Skeleton, n: int) -> _Layout:
     return _Layout(n, [body[s : s + r] for s, r in zip(starts, rows[:-1].tolist())], at)
 
 
-# The kept skeleton and the layout of the last K_n, n >= 2, with k <= 9
-# written or read, or None before the first.  Replaced by one
-# assignment, so a concurrent caller sees either the old pair or the new one.
-_TEXT_SLOT: Optional[tuple[_Skeleton, _Layout]] = None
+# The kept skeleton and the layout of the last K_n, n >= 2, written or read,
+# one pair per color width in use, keyed by the width.  Each pair is
+# replaced by one assignment, so a concurrent caller sees either the old
+# pair or the new one.
+_TEXT_SLOTS: dict[int, tuple[_Skeleton, _Layout]] = {}
 
 
-def _text_slot(n: int) -> tuple[_Skeleton, _Layout]:
-    """The kept pair if it is laid out for K_n; else the kept skeleton,
-    rebuilt larger if it is smaller than K_n, with the layout of K_n."""
-    slot = _TEXT_SLOT
+def _text_slot(n: int, width: int) -> tuple[_Skeleton, _Layout]:
+    """The kept pair of this color width if it is laid out for K_n; else its
+    kept skeleton, rebuilt larger if it is smaller than K_n (or built if
+    there is none), with the layout of K_n."""
+    slot = _TEXT_SLOTS.get(width)
     if slot is not None and slot[1].n == n:
         return slot
     if slot is not None and slot[0].size >= n:
         skeleton = slot[0]
     else:
-        skeleton = _build_skeleton(-(-n // _SKELETON_STEP) * _SKELETON_STEP)
+        skeleton = _build_skeleton(-(-n // _SKELETON_STEP) * _SKELETON_STEP, width)
     return skeleton, _layout(skeleton, n)
 
 
 def _join_rows(n: int, k: int, layout: _Layout) -> bytearray:
-    """The canonical text of K_n colored all 1, with header k."""
+    """The text of K_n with every color slot as in the skeleton, with
+    header k."""
     return bytearray().join([f"{n} {k}\n".encode("ascii"), *layout.rows])
 
 
@@ -601,18 +611,27 @@ def serialize(c: Coloring) -> str:
     Edges appear in lexicographic order of (u, v); every line ends with LF.
     Numbers are written in plain decimal, separated by one space.
 
-    For K_n, n >= 2, with k <= 9, the rows of the kept skeleton are joined
-    with the colors written in at the layout's offsets, and the layout is
-    kept for reading the text back; K_1 and k >= 10 go to ``_text_bytes``.
+    K_1 is its header alone.  For K_n, n >= 2, the rows of the kept skeleton
+    whose color slots are as wide as k are joined, and digit i of every
+    color is written at the layout's offsets plus i, right-aligned in its
+    slot; the slot bytes in front of a shorter color are NUL, and they are
+    deleted in one pass.  With k <= 9 there are none.  The layout is kept
+    with the skeleton of its width; the one-digit one also reads the text
+    back.
     """
-    global _TEXT_SLOT
     n, k = c.n, c.k
-    if not _over_skeleton(n, k):
-        return _text_bytes(n, k, *_lex_edges(c)).decode("ascii")
-    slot = _TEXT_SLOT = _text_slot(n)
+    if n == 1:
+        return f"{n} {k}\n"
+    width = len(str(k))
+    slot = _TEXT_SLOTS[width] = _text_slot(n, width)
     out = _join_rows(n, k, slot[1])
-    np.frombuffer(out, dtype=np.uint8)[slot[1].at] = c.colex_colors().astype(np.uint8) + ord("0")
-    return out.decode("ascii")
+    text, at, colors = np.frombuffer(out, dtype=np.uint8), slot[1].at, c.colex_colors()
+    if width == 1:
+        text[at] = colors.astype(np.uint8) + ord("0")
+        return out.decode("ascii")
+    for i, digit in enumerate(_digit_table(k + 1).T):
+        text[i:][at] = digit.take(colors)
+    return out.replace(b"\0", b"").decode("ascii")
 
 
 def _coloring_from_entries(
@@ -706,7 +725,6 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     The layout of an accepted text is kept; a refused one leaves the kept
     skeleton and layout as they were.
     """
-    global _TEXT_SLOT
     if not text.isascii():
         return None
     try:
@@ -715,7 +733,7 @@ def _read_canonical(text: str) -> Optional[Coloring]:
         return None
     if not _over_skeleton(n, k) or len(text) != _text_length(n, k):
         return None
-    slot = _text_slot(n)
+    slot = _text_slot(n, 1)
     at = slot[1].at
     raw = text.encode("ascii")
     digits = np.frombuffer(raw, dtype=np.uint8)[at]
@@ -728,7 +746,7 @@ def _read_canonical(text: str) -> Optional[Coloring]:
     if out != raw:
         return None
     c = Coloring(n, colors, k=k)
-    _TEXT_SLOT = slot
+    _TEXT_SLOTS[1] = slot
     return c
 
 
@@ -765,10 +783,11 @@ def deserialize(text: str) -> Coloring:
 
 def serialize_json(c: Coloring) -> str:
     """Structured equivalent of the text format with the same edge order."""
+    u, v, at = _lex_order(c.n)
     payload = {
         "n": c.n,
         "k": c.k,
-        "edges": np.column_stack(_lex_edges(c)).tolist(),
+        "edges": np.column_stack((u, v, c.colex_colors()[at])).tolist(),
     }
     return json.dumps(payload, separators=(",", ":"))
 

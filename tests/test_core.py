@@ -31,7 +31,7 @@ from gallai.core import (
     total_edges,
 )
 from gallai import core
-from gallai.core import _lex_edges, _read_canonical, _read_lines, _text_bytes
+from gallai.core import _read_canonical, _read_lines, _text_bytes
 from gallai.generator import random_gallai
 
 from conftest import arbitrary_colorings, compact_colors, label_partitions
@@ -329,12 +329,12 @@ class TestSerialization:
         # The entry count is checked against n(n-1)/2 before anything is
         # allocated; building the edge list first would ask for ~5*10^9 slots.
         serialize(_k_colored(20, 3, 0))
-        kept = core._TEXT_SLOT
+        kept = core._TEXT_SLOTS[1]
         with pytest.raises(InvariantViolation) as exc:
             deserialize("100000 1\n")
         assert exc.value.line == 1
         # The text length is checked before a skeleton of K_100000 is built.
-        assert core._TEXT_SLOT is kept
+        assert core._TEXT_SLOTS[1] is kept
         with pytest.raises(InvariantViolation):
             deserialize_json('{"n": 100000, "k": 1, "edges": []}')
 
@@ -413,6 +413,10 @@ def _k_colored(n: int, k: int, seed: int) -> Coloring:
     return Coloring(n, colors)
 
 
+def _no_rebuild(*args):
+    raise AssertionError("the text was laid out again")
+
+
 def _set_line(i: int, edit):
     """A text mutation that rewrites line i (the header is line 0)."""
     def mutate(text: str, k: int) -> str:
@@ -456,7 +460,7 @@ class TestVectorizedText:
     def test_kept_layout_refuses_what_the_line_reader_refuses(self, mutation, k):
         c = _k_colored(30, k, seed=k)
         text = serialize(c)
-        assert core._TEXT_SLOT[1].n == 30
+        assert core._TEXT_SLOTS[1][1].n == 30
         assert deserialize(text) == c
         mutated = SAME_LENGTH[mutation](text, k)
         assert len(mutated) == len(text) and mutated != text
@@ -469,58 +473,55 @@ class TestVectorizedText:
         # The layout of K_30 over a skeleton larger than the one K_30 alone
         # would build.
         serialize(_k_colored(130, 4, seed=1))
-        skeleton = core._TEXT_SLOT[0]
+        skeleton = core._TEXT_SLOTS[1][0]
         assert skeleton.size > core._SKELETON_STEP
         c = _k_colored(30, 5, seed=2)
         text = serialize(c)
-        assert core._TEXT_SLOT[0] is skeleton
+        assert core._TEXT_SLOTS[1][0] is skeleton
         mutated = SAME_LENGTH[mutation](text, 5)
         assert _outcome(deserialize, mutated) == _outcome(_read_lines, mutated)
         assert deserialize(text) == c
-        assert core._TEXT_SLOT[0] is skeleton
+        assert core._TEXT_SLOTS[1][0] is skeleton
 
     def test_round_trip_across_sizes_and_color_widths(self, monkeypatch):
-        # A kept skeleton large enough for every step, so that _text_bytes
-        # runs only where serialize calls it, not to build a skeleton.
-        monkeypatch.setattr(core, "_TEXT_SLOT", core._text_slot(45))
-        lines, cells = [], []
+        # Kept skeletons of both widths large enough for every step, so that
+        # no step builds one.
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {w: core._text_slot(45, w) for w in (1, 2)})
+        lines, builds = [], []
         monkeypatch.setattr(core, "_read_lines", lambda text: lines.append(text) or _read_lines(text))
-        monkeypatch.setattr(
-            core, "_text_bytes", lambda n, k, *edges: cells.append(n) or _text_bytes(n, k, *edges)
-        )
+        monkeypatch.setattr(core, "_build_skeleton", lambda *args: builds.append(args))
         steps = [(20, 9), (2, 1), (20, 10), (19, 9), (20, 9), (45, 3), (3, 3), (20, 1), (1, 0),
                  (19, 10), (20, 12), (45, 9), (45, 9), (2, 1), (20, 9), (45, 10), (1, 0),
-                 (5, 4), (45, 2)]
+                 (5, 4), (45, 2), (5, 10), (45, 12)]
         for seed, (n, k) in enumerate(steps):
             c = _k_colored(n, k, seed)
+            narrow = core._TEXT_SLOTS[1]
             text = serialize(c)
             assert text == _fstring_serialize(c)
-            # At most 9 colors are written and read over the skeleton, which
-            # keeps the layout of K_n at every n >= 2; K_1 and more colors
-            # are written cell by cell and take the line reader.
-            if n >= 2 and k <= 9:
-                assert not cells and core._TEXT_SLOT[1].n == n
-            else:
-                assert cells == [n]
-                cells.clear()
+            # Every K_n, n >= 2, is written over the kept skeleton whose
+            # color slots are as wide as k, which keeps the layout of K_n;
+            # K_1 is its header alone.  A write with 10 colors or more
+            # leaves the one-digit pair as it was.
+            if n >= 2:
+                assert core._TEXT_SLOTS[len(str(k))][1].n == n
+            if n == 1 or k >= 10:
+                assert core._TEXT_SLOTS[1] is narrow
             assert deserialize(text) == c
             assert deserialize(text) == c
+            # Only texts with at most 9 colors are read over the skeleton.
             if n >= 2 and k <= 9:
-                assert not lines and core._TEXT_SLOT[1].n == n
+                assert not lines and core._TEXT_SLOTS[1][1].n == n
             else:
-                assert lines == [text, text]
+                assert lines == [text, text] and core._TEXT_SLOTS[1] is narrow
                 lines.clear()
+        assert not builds
 
     def test_kept_layout_needs_no_rebuild(self, monkeypatch):
         first, second = _k_colored(33, 7, 0), _k_colored(33, 4, 1)
         other = serialize(second)
         text = serialize(first)
-
-        def rebuild(*args):
-            raise AssertionError("the text was rebuilt")
-
         for name in ("_text_bytes", "_build_skeleton", "_layout", "_lex_order"):
-            monkeypatch.setattr(core, name, rebuild)
+            monkeypatch.setattr(core, name, _no_rebuild)
         assert deserialize(text) == first
         # A text of the same K_n that is not the kept one reuses it too.
         assert deserialize(other) == second
@@ -529,26 +530,26 @@ class TestVectorizedText:
 
     def test_refused_text_is_not_kept(self, monkeypatch):
         text = serialize(_k_colored(25, 3, 0))
-        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {})
         # The right layout, but k = 4 is not the largest color in use.
         with pytest.raises(InvariantViolation):
             deserialize(text.replace("25 3", "25 4", 1))
-        assert core._TEXT_SLOT is None
+        assert core._TEXT_SLOTS == {}
         # A refused text of a larger K_n leaves the smaller skeleton kept.
         text = serialize(_k_colored(150, 3, 0))
-        monkeypatch.setattr(core, "_TEXT_SLOT", None)
-        kept = core._text_slot(25)
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {})
+        kept = core._text_slot(25, 1)
         assert kept[0].size < 150
-        monkeypatch.setattr(core, "_TEXT_SLOT", kept)
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {1: kept})
         with pytest.raises(InvariantViolation):
             deserialize(text.replace("150 3", "150 4", 1))
-        assert core._TEXT_SLOT is kept
+        assert core._TEXT_SLOTS == {1: kept}
 
     def test_rebuild_points_in_both_directions(self, monkeypatch):
-        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {})
         step = core._SKELETON_STEP
         sizes = [20, 63, 64, 65, step - 1, step, step + 1, 2 * step, 2 * step + 1]
-        size = seed = 0
+        size, seed = {1: 0, 2: 0}, 0
         for n in sizes + sizes[::-1]:
             for k in (1, 9, 10, 12):
                 seed += 1
@@ -556,31 +557,113 @@ class TestVectorizedText:
                 text = serialize(c)
                 assert text == _fstring_serialize(c)
                 assert deserialize(text) == c
-                if k <= 9:
-                    # Built for the next multiple of the step above the
-                    # largest K_n so far, never smaller.
-                    size = max(size, -(-n // step) * step)
-                    assert (core._TEXT_SLOT[0].size, core._TEXT_SLOT[1].n) == (size, n)
-        assert size == 3 * step
+                # The skeleton of each color width is built for the next
+                # multiple of the step above the largest K_n written with
+                # such colors so far, never smaller.
+                width = len(str(k))
+                size[width] = max(size[width], -(-n // step) * step)
+                skeleton, layout = core._TEXT_SLOTS[width]
+                assert (skeleton.size, skeleton.width, layout.n) == (size[width], width, n)
+        assert size == {1: 3 * step, 2: 3 * step}
 
     def test_int64_offsets_give_the_same_text(self, monkeypatch):
         # Texts of 2^31 bytes or more, from K_18328 up, are laid out in int64.
-        monkeypatch.setattr(core, "_TEXT_SLOT", None)
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {})
         monkeypatch.setattr(core, "_INT32_TEXT", 0)
-        c = _k_colored(120, 6, 3)
+        for k in (6, 10, 101):
+            c = _k_colored(120, k, 3)
+            text = serialize(c)
+            assert core._TEXT_SLOTS[len(str(k))][0].colex_start.dtype == np.int64
+            assert text == _fstring_serialize(c)
+            assert deserialize(text) == c
+        assert core._text_length(18327, 1) < 2**31 <= core._text_length(18328, 1)
+
+    @pytest.mark.parametrize("n, k", [
+        (20, 9), (20, 10), (20, 99), (20, 100), (20, 101),
+        (5, 10), (14, 91), (15, 105),  # every edge in a color of its own
+        (127, 10), (128, 10), (129, 10), (257, 10),
+        (127, 101), (128, 101), (129, 101), (257, 101),
+    ])
+    def test_wide_writer_at_width_boundaries(self, n, k):
+        c = _k_colored(n, k, seed=n + k)
         text = serialize(c)
-        assert core._TEXT_SLOT[0].colex_start.dtype == np.int64
+        assert text == _fstring_serialize(c)
+        skeleton, layout = core._TEXT_SLOTS[len(str(k))]
+        assert (skeleton.width, layout.n) == (len(str(k)), n)
+        assert deserialize(text) == c
+
+    @given(st.integers(2, 40), st.integers(1, 150), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_fstrings_up_to_150_colors(self, n, max_colors, rnd):
+        raw = [rnd.randint(1, max_colors) for _ in range(total_edges(n))]
+        c = Coloring(n, compact_colors(raw))
+        text = serialize(c)
         assert text == _fstring_serialize(c)
         assert deserialize(text) == c
-        assert core._text_length(18327, 1) < 2**31 <= core._text_length(18328, 1)
+
+    def test_alternating_widths_rebuild_nothing(self, monkeypatch):
+        narrow, wide = _k_colored(60, 5, 0), _k_colored(60, 15, 1)
+        texts = serialize(narrow), serialize(wide)
+        assert texts == (_fstring_serialize(narrow), _fstring_serialize(wide))
+        # Each width keeps its own skeleton and layout of K_60.
+        for name in ("_build_skeleton", "_layout"):
+            monkeypatch.setattr(core, name, _no_rebuild)
+        for _ in range(3):
+            assert (serialize(narrow), serialize(wide)) == texts
+
+    def test_wide_text_takes_the_line_reader(self, monkeypatch):
+        narrow, wide = _k_colored(50, 7, 0), _k_colored(50, 23, 1)
+        small = serialize(narrow)
+        text = serialize(wide)
+        lines = []
+        monkeypatch.setattr(core, "_read_lines", lambda t: lines.append(t) or _read_lines(t))
+        assert deserialize(text) == wide and lines == [text]
+        # Writing and reading the wide text left the one-digit layout of
+        # K_50 kept for the next narrow read.
+        for name in ("_build_skeleton", "_layout"):
+            monkeypatch.setattr(core, name, _no_rebuild)
+        assert deserialize(small) == narrow and lines == [text]
+
+    def test_wide_skeleton_widens_the_kept_narrow_one(self, monkeypatch):
+        monkeypatch.setattr(core, "_TEXT_SLOTS", {1: core._text_slot(130, 1)})
+        size = core._TEXT_SLOTS[1][0].size
+        built = []
+        monkeypatch.setattr(
+            core, "_text_bytes", lambda n, color: built.append(n) or _text_bytes(n, color)
+        )
+        for width in (2, 3):
+            widened = core._build_skeleton(size, width)
+            assert not built
+            with monkeypatch.context() as m:
+                m.setattr(core, "_TEXT_SLOTS", {})
+                laid_out = core._build_skeleton(size, width)
+            assert built == [size]
+            built.clear()
+            assert widened.body.tobytes() == laid_out.body.tobytes()
+            assert widened.starts == laid_out.starts
+        # A kept narrow skeleton of another size is not widened.
+        core._build_skeleton(2 * size, 2)
+        assert built == [2 * size]
+
+    def test_single_vertex_is_its_header(self, monkeypatch):
+        for name in ("_lex_order", "_text_bytes", "_build_skeleton", "_layout"):
+            monkeypatch.setattr(core, name, _no_rebuild)
+        c = Coloring(1, [])
+        assert serialize(c) == "1 0\n" == _fstring_serialize(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 101])
+    def test_skeleton_text_has_every_edge_in_one_color(self, n):
+        for color in (1, 10, 100):
+            lines = [f"{n} {color}"] + [
+                f"{u} {v} {color}" for u in range(n) for v in range(u + 1, n)
+            ]
+            assert _text_bytes(n, color).decode("ascii") == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 19, 101, 300])
     def test_writer_is_byte_identical(self, n):
         for seed, max_colors in ((0, 5), (1, 12)):
             c = random_gallai(n, seed, max_colors)[0]
             assert serialize(c) == _fstring_serialize(c)
-            # The vectorized writer at every size, not only where serialize uses it.
-            assert _text_bytes(n, c.k, *_lex_edges(c)).decode("ascii") == serialize(c)
             edges = [[u, v, c.edge_color(u, v)] for u in range(n) for v in range(u + 1, n)]
             assert serialize_json(c) == json.dumps(
                 {"n": n, "k": c.k, "edges": edges}, separators=(",", ":")
@@ -597,12 +680,12 @@ class TestVectorizedText:
         else:
             assert _read_canonical(text) is None
         assert deserialize(text) == c
-        kept = core._TEXT_SLOT
+        kept = dict(core._TEXT_SLOTS)
         mutated = _mutate(text, rnd)
         outcome = _outcome(deserialize, mutated)
         assert outcome == _outcome(_read_lines, mutated)
-        # A refused text leaves the kept skeleton and layout as they were.
-        assert isinstance(outcome, Coloring) or core._TEXT_SLOT is kept
+        # A refused text leaves the kept skeletons and layouts as they were.
+        assert isinstance(outcome, Coloring) or core._TEXT_SLOTS == kept
 
     @pytest.mark.parametrize("spelling", sorted(NON_CANONICAL))
     def test_non_canonical_spellings_take_the_line_reader(self, spelling):
