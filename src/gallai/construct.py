@@ -50,6 +50,7 @@ from .core import (
     total_edges,
     _colex_runs,
     _lex_order,
+    _ranked,
 )
 from . import oracle, verify
 
@@ -127,8 +128,6 @@ def star_partition_for(
     pruned search; past it the search raises BudgetExceeded.
     """
     n, k = d.n, d.k
-    if k == 0:
-        return StarPartition(n, ()) if n == 1 else None
     residual = list(d.sizes)
     if not _capacity_ok(residual, n - 1):
         return None
@@ -282,8 +281,6 @@ def construct_division(params: DivisionParams) -> Coloring:
     """Special coloring with k classes of p edges and one class of q edges."""
     n, k, p, q = params.n, params.k, params.p, params.q
     target = params.target()
-    if n == 1:
-        return Coloring(1, ())
     pgroups, qgroup = _division_groups(n, k, p, q)
     groups = [g for g in pgroups if g]
     if qgroup:
@@ -310,10 +307,9 @@ def _balanced_groups(n: int, k: int) -> list[list[int]]:
         if r * k > (n + 1) // 2:
             raise InternalScheduleError(f"no valid grouping factor for n={n}, k={k}")
         sub = _balanced_groups(n, r * k)
-        sub.sort(key=lambda g: -sum(g))
         buckets: list[list[int]] = [[] for _ in range(k)]
-        for t, g in enumerate(sub):
-            buckets[t % k].extend(g)
+        for t, i in enumerate(_ranked([sum(g) for g in sub])):
+            buckets[t % k].extend(sub[i])
         return buckets
 
     i = n - 2 * k
@@ -408,9 +404,10 @@ def _join_stars(c: Coloring, colors: Sequence[int]) -> Coloring:
 def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[int, ...]]:
     """Shrink d to base_n vertices by repeatedly peeling spanning stars.
 
-    At each intermediate size n' the current largest class loses n'-1 edges.
-    Returns the residual distribution and the log of peeled class positions
-    (indices into d.sizes); replay_peel re-attaches the stars and restores d.
+    At each intermediate size n' the largest class loses n'-1 edges, the
+    lowest position among equal ones (``_ranked``).  Returns the residual
+    distribution and the log of peeled class positions (indices into
+    d.sizes); replay_peel re-attaches the stars and restores d.
     """
     if not (1 <= base_n <= d.n):
         raise PreconditionViolated(f"need 1 <= base_n <= {d.n}, got {base_n}")
@@ -418,7 +415,7 @@ def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[in
     log: list[int] = []
     for n_cur in range(d.n, base_n, -1):
         star = n_cur - 1
-        slot = max(range(len(slots)), key=lambda i: (slots[i], -i))
+        slot = _ranked(slots)[0]
         if slots[slot] < star:
             raise PeelImpossible(
                 f"largest class has {slots[slot]} < {star} edges at n'={n_cur}"
@@ -429,18 +426,18 @@ def peel_reduction(d: Distribution, base_n: int) -> tuple[Distribution, tuple[in
     return base, tuple(log)
 
 
-def _relabel(counts: Sequence[int], targets: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
-    """Match colors 1..len(counts) to target ids of equal class size.
-
-    ``counts[c-1]`` is the size of color c, and each target is a (size, id)
-    pair.  Both sides are ranked by (-size, id) and matched in rank order.
-    Returns {color: id}, or None when the two size lists differ.
-    """
-    ranked = sorted(range(1, len(counts) + 1), key=lambda col: (-counts[col - 1], col))
-    want = sorted(targets, key=lambda t: (-t[0], t[1]))
-    if [counts[col - 1] for col in ranked] != [size for size, _ in want]:
+def _relabel(counts: Sequence[int], sizes: Sequence[int]) -> Optional[np.ndarray]:
+    """int32 table t, t[c] the position of ``sizes`` that color c (of
+    ``counts[c-1]`` edges) takes: both sides in ``_ranked`` order, by
+    descending size with ties to the lower color and the lower position,
+    matched rank by rank.  t[0] = 0, and a position of size 0 takes no
+    color.  None when the nonzero ``sizes`` are not the ``counts``."""
+    cols, places = _ranked(counts), _ranked(sizes)
+    if [counts[c] for c in cols] != [sizes[p] for p in places if sizes[p]]:
         return None
-    return {col: tid for col, (_, tid) in zip(ranked, want)}
+    table = np.zeros(len(counts) + 1, dtype=np.int32)
+    table[1:][cols] = places[: len(cols)]
+    return table
 
 
 def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring:
@@ -450,13 +447,16 @@ def replay_peel(base: Coloring, d: Distribution, log: Sequence[int]) -> Coloring
     slots = list(d.sizes)
     for step, slot in enumerate(log):
         slots[slot] -= (d.n - step) - 1
-    cmap = _relabel(base.counts, [(s, i) for i, s in enumerate(slots) if s > 0])
-    if cmap is None:
+    table = _relabel(base.counts, slots)
+    if table is None:
         raise PreconditionViolated("base coloring does not match the peeled distribution")
-    # A slot the base lacks opens the next new color.
-    slot_color = {slot: col for col, slot in cmap.items()}
-    colors = [slot_color.setdefault(slot, len(slot_color) + 1) for slot in reversed(log)]
-    return _join_stars(base, colors)
+    slot_color = np.zeros(len(slots), dtype=np.int32)
+    slot_color[table[1:]] = np.arange(1, base.k + 1)
+    # A slot the base lacks opens the next new color, in replay order.
+    steps = list(reversed(log))
+    new = [slot for slot in dict.fromkeys(steps) if not slot_color[slot]]
+    slot_color[new] = np.arange(base.k + 1, base.k + 1 + len(new))
+    return _join_stars(base, slot_color[steps])
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +524,11 @@ def _gk_phases(d: Distribution) -> Coloring:
     e1_rest = sizes[0] - block * n_rest - (total_edges(block) - small)
     if e1_rest < 0:
         raise InternalScheduleError(f"largest class too small: n={n}, k={k}, deficit={-e1_rest}")
-    rest = [(s, col) for col, s in enumerate((e1_rest,) + sizes[1 : k - 1], start=1) if s > 0]
-    csub = _construct_guaranteed(canonicalize([s for s, _ in rest], n_rest))
-    cmap = _relabel(csub.counts, rest)
-    if cmap is None:
+    rest = (0, e1_rest) + sizes[1 : k - 1]  # indexed by color; 0 is unused
+    csub = _construct_guaranteed(canonicalize([s for s in rest if s], n_rest))
+    table = _relabel(csub.counts, rest)
+    if table is None:
         raise InternalScheduleError("recursive level does not match the residual sizes")
-    table = np.array([0] + [cmap[col] for col in range(1, csub.k + 1)], dtype=np.int32)
     return Coloring(n, np.concatenate([table[csub.colex_colors()], _colex_runs(runs)]))
 
 

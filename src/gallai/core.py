@@ -109,6 +109,12 @@ def edge_index(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
+def _ranked(sizes: Sequence[int]) -> list[int]:
+    """Positions of ``sizes`` by descending size, ties in position order:
+    the one rule by which colors and slots are matched to class sizes."""
+    return sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+
+
 def _colex_runs(runs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Colex colors from (color, length) runs, listed row by row; a length
     may be 0.  Row v, the edges from v down to 0..v-1, of a substitution is
@@ -213,17 +219,16 @@ class Coloring:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "Coloring":
         """Build a coloring from (u, v, color) triples covering every edge once."""
-        arr: list[int] = [0] * total_edges(n)
+        arr: list[Optional[int]] = [None] * total_edges(n)
         for u, v, c in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InvariantViolation(f"bad edge ({u}, {v}) for K_{n}")
             i = edge_index(u, v)
-            if arr[i] != 0:
+            if arr[i] is not None:
                 raise InvariantViolation(f"duplicate edge ({u}, {v})")
             arr[i] = c
-        for i, c in enumerate(arr):
-            if c == 0:
-                raise InvariantViolation(f"missing edge at triangular index {i}")
+        if None in arr:
+            raise InvariantViolation(f"missing edge at triangular index {arr.index(None)}")
         return cls(n, arr)
 
     def edge_color(self, u: int, v: int) -> int:

@@ -52,6 +52,7 @@ from .core import (
     canonicalize,
     total_edges,
     _colex_runs,
+    _ranked,
 )
 from . import verify
 
@@ -83,11 +84,6 @@ class _Recipe(NamedTuple):
 # (None for the empty K_1).  Index 0 is an unused empty level.
 _TABLES: dict[int, list[dict[Vector, Optional[_Recipe]]]] = {}
 _STORE = threading.Lock()
-
-
-def _desc_order(w) -> list[int]:
-    """Positions of ``w`` by descending value, ties in position order."""
-    return sorted(range(len(w)), key=w.__getitem__, reverse=True)
 
 
 def _runs(y: Vector) -> tuple[int, ...]:
@@ -149,7 +145,7 @@ def _fill_level(
         key = tuple(sorted(v, reverse=True))
         if key in level:
             return
-        order = _desc_order(v)
+        order = _ranked(v)
         level[key] = _Recipe(
             sizes, tuple(tuple(q[i] for i in order) for q in parts), e_a, order.index(a), order.index(b)
         )
@@ -170,7 +166,7 @@ def _fill_level(
                     w = [i + j for i, j in zip(y, p)]
                     z = tuple(sorted(w, reverse=True))
                     if z not in out:
-                        order = _desc_order(w)
+                        order = _ranked(w)
                         out[z] = tuple(tuple(q[i] for i in order) for q in (*parts, p))
                         if limit is not None and len(out) > limit:
                             raise _OverNodeBudget("node budget exhausted")
@@ -231,7 +227,7 @@ def _rebuild(levels: list, n: int, key: Vector) -> np.ndarray:
             for v in range(starts[j], starts[j + 1]):
                 rows[v].append(run)
         for start, size, x in zip(starts, recipe.sizes, recipe.parts):
-            order = _desc_order(x)
+            order = _ranked(x)
             fill(size, tuple(x[i] for i in order), start, [label[i] for i in order])
 
     fill(n, key, 0, list(range(1, len(key) + 1)))

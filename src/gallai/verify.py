@@ -23,6 +23,7 @@ from .core import (
     PreconditionViolated,
     StarPartition,
     canonicalize,
+    _ranked,
 )
 
 
@@ -311,8 +312,7 @@ def top_l_cover(c: Coloring, ell: int) -> tuple[tuple[int, ...], int]:
     w = rainbow_witness(c)
     if w is not None:
         raise NotGallai(w)
-    ranked = sorted(range(1, c.k + 1), key=lambda col: (-c.counts[col - 1], col))
-    chosen = tuple(ranked[:ell])
+    chosen = tuple(i + 1 for i in _ranked(c.counts)[:ell])
     return chosen, sum(c.counts[col - 1] for col in chosen)
 
 
@@ -410,8 +410,6 @@ def find_gallai_partition(c: Coloring) -> GallaiPartition:
 
 def validate_gallai_partition(c: Coloring, gp: GallaiPartition) -> bool:
     """Independent re-check of all Gallai-partition invariants."""
-    if gp.m < 2 or len(gp.cross_colors) > 2:
-        return False
     seen: set[int] = set()
     owner: dict[int, int] = {}
     for bi, blk in enumerate(gp.blocks):

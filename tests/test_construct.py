@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +37,7 @@ from gallai.construct import (
 )
 from gallai.generator import random_gallai
 from gallai.oracle import compute_g, partitions
-from gallai.verify import class_sizes, is_gallai, is_special_coloring
+from gallai.verify import class_sizes, is_gallai, is_special_coloring, top_l_cover
 
 
 def verified(c: Coloring, sizes) -> None:
@@ -195,6 +198,7 @@ class TestDivision:
     def test_single_vertex(self):
         c = construct_division(DivisionParams(n=1, k=0, p=0, q=0))
         assert c.n == 1 and c.k == 0
+        assert c == Coloring(1, ())
 
     def test_special_certificate_refuses_non_special_colorings(self):
         # _checked(special=True) skips rainbow_witness; speciality alone must
@@ -327,6 +331,16 @@ class TestExtendAndPeel:
         with pytest.raises(PreconditionViolated, match="does not match the peeled distribution"):
             replay_peel(other, d, log)
 
+    @pytest.mark.parametrize("sizes", [[6, 4], [4, 3, 3], [10]])
+    def test_replay_refuses_a_base_of_other_sizes_after_an_emptied_class(self, sizes):
+        # (5,5,5)/K_6 peels to (5,5)/K_5, and its emptied slot 0 has no base
+        # color; a base of any other sizes is still refused.
+        d = canonicalize([5, 5, 5], 6)
+        _, log = peel_reduction(d, 5)
+        other = _construct_guaranteed(canonicalize(sizes, 5))
+        with pytest.raises(PreconditionViolated, match="does not match the peeled distribution"):
+            replay_peel(other, d, log)
+
     def test_replay_recreates_emptied_classes(self):
         d = canonicalize([7, 7, 7, 7], 8)
         base, log = peel_reduction(d, 5)
@@ -361,6 +375,53 @@ class TestExtendAndPeel:
         c = replay_peel(built, d, log)
         assert class_sizes(c) == d
         assert is_gallai(c)
+
+
+def _relabel_by_pairs(counts, targets):
+    """The (size, id) matcher that ``_relabel`` replaced, kept as the
+    reference: both sides ranked by (-size, id), matched in rank order."""
+    ranked = sorted(range(1, len(counts) + 1), key=lambda col: (-counts[col - 1], col))
+    want = sorted(targets, key=lambda t: (-t[0], t[1]))
+    if [counts[col - 1] for col in ranked] != [size for size, _ in want]:
+        return None
+    return {col: tid for col, (_, tid) in zip(ranked, want)}
+
+
+class TestOneRanking:
+    """Colors and slots are matched to class sizes by one rule, ``_ranked``:
+    descending size, ties to the lower position."""
+
+    @pytest.mark.parametrize(
+        "ranking, want",
+        [
+            # (7,7,7)/K_7: the first star takes slot 0 of three tied ones,
+            # the second slot 1 of the two left at 7.
+            (lambda: peel_reduction(canonicalize([7, 7, 7], 7), 5), (canonicalize([7, 2, 1], 5), (0, 1))),
+            # Two classes of 3 edges, colored 2 before 1 in colex order.
+            (lambda: top_l_cover(Coloring(4, (2, 2, 2, 1, 1, 1)), 1), ((1,), 3)),
+            # Colors 1 and 2 tie at 2 edges and take positions 1 and 2 of
+            # the tied sizes, in that order; color 3 takes position 0.
+            (lambda: construct._relabel((2, 2, 1), (1, 2, 2)).tolist(), [0, 1, 2, 0]),
+        ],
+        ids=["peel_reduction", "top_l_cover", "_relabel"],
+    )
+    def test_ties_go_to_the_lower_position(self, ranking, want):
+        assert ranking() == want
+
+    def test_relabel_matches_the_pair_matcher(self):
+        # Every count vector with up to 3 colors of 1..3 edges against every
+        # size vector with up to 4 positions of 0..3 edges.
+        for k in range(4):
+            for counts in product(range(1, 4), repeat=k):
+                for m in range(5):
+                    for sizes in product(range(4), repeat=m):
+                        table = construct._relabel(counts, sizes)
+                        ref = _relabel_by_pairs(counts, [(s, i) for i, s in enumerate(sizes) if s > 0])
+                        if ref is None:
+                            assert table is None, (counts, sizes)
+                            continue
+                        assert table.dtype == np.int32 and table[0] == 0
+                        assert dict(enumerate(table.tolist()[1:], start=1)) == ref, (counts, sizes)
 
 
 class TestThresholds:

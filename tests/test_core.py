@@ -168,6 +168,16 @@ class TestColoring:
         with pytest.raises(InvariantViolation, match=re.escape("bad edge (0, 3) for K_3")):
             Coloring.from_edges(3, [(0, 1, 1), (0, 3, 1), (1, 2, 1)])
 
+    def test_from_edges_refuses_a_duplicate_of_a_color_0_edge(self):
+        # Filled slots are marked apart from their color, so a first copy in
+        # color 0 is still seen.
+        with pytest.raises(InvariantViolation, match=re.escape("duplicate edge (0, 1)")):
+            Coloring.from_edges(2, [(0, 1, 0), (0, 1, 1)])
+
+    def test_from_edges_passes_color_0_to_the_color_check(self):
+        with pytest.raises(InvariantViolation, match="color ids must be >= 1, got 0"):
+            Coloring.from_edges(2, [(0, 1, 0)])
+
 
 class TestStarPartition:
     def test_valid(self):
