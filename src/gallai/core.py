@@ -115,13 +115,17 @@ def _ranked(sizes: Sequence[int]) -> list[int]:
     return sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
 
 
-def _colex_runs(runs: Sequence[tuple[int, int]]) -> np.ndarray:
+def _colex_runs(
+    runs: Sequence[tuple[int, int]], table: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Colex colors from (color, length) runs, listed row by row; a length
     may be 0.  Row v, the edges from v down to 0..v-1, of a substitution is
     one run per earlier block, in its cross color, then v's row in its block.
+    A ``table`` renames each run's color, table[color], before the repeat.
     """
     colors, lengths = zip(*runs) if runs else ((), ())
-    return np.repeat(np.asarray(colors, dtype=np.int32), lengths)
+    colors = np.asarray(colors, dtype=np.int32)
+    return np.repeat(colors if table is None else table[colors], lengths)
 
 
 def balanced_sizes(n: int, k: int) -> tuple[int, ...]:

@@ -3,8 +3,15 @@
 Split the vertices into m >= 2 blocks, join the blocks by one or two colors,
 recurse inside each block.  Every output is rainbow-free by construction,
 and identical (n, seed, max_colors) always reproduce the same coloring; the
-random stream is one explicitly seeded generator threaded through the
-deterministic recursion, never global state.
+random stream is one explicitly seeded generator, never global state.
+
+The draws are those of ``randint``, ``sample``, ``choice`` and ``random`` on
+``random.Random(seed)``, in the same order, but ``randint``, ``sample`` and
+``choice`` are written out over the instance's ``getrandbits`` as CPython
+3.10-3.13 write them: the rejection loop of ``_randbelow_with_getrandbits``,
+and ``sample``'s pool path for populations up to 21 and its set path above.
+The method calls cost several times the bits they draw.  The tests compare
+every output with a reference that calls the methods, and CI pins bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import random
 
 import numpy as np
 
-from .core import Coloring, PreconditionViolated
+from .core import Coloring, PreconditionViolated, _colex_runs
 
 
 def random_gallai(
@@ -26,47 +33,81 @@ def random_gallai(
     compacted so the result uses colors 1..k, in the order of the drawn ids.
 
     Every block is a contiguous vertex range: the cuts split a range into
-    consecutive ranges, and recursion only splits those further.  So the
-    edges between two blocks are exactly one rectangle of the strict lower
-    triangle of an n x n matrix, and each block pair is filled by one slice
-    assignment.
+    consecutive ranges, and recursion only splits those further.  The tree
+    of blocks is walked in pre-order with an explicit stack, and each block
+    carries its row prefix: one (color, length) run to each earlier block,
+    at every ancestor.  A single vertex's colex row is its prefix, so the
+    rows go out as runs (``core._colex_runs``), with no n x n matrix.
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
     if max_colors < 1:
         raise PreconditionViolated(f"need max_colors >= 1, got {max_colors}")
     rng = random.Random(seed)
-    mat = np.zeros((n, n), dtype=np.int32)
-    # Drawn color id -> the small id written into ``mat``, in order of first
-    # use, so the table below stays small for any max_colors.
+    bits = rng.getrandbits
+
+    def below(q: int) -> int:
+        """``rng._randbelow(q)``: uniform on 0..q-1, drawing k-bit words."""
+        k = q.bit_length()
+        r = bits(k)
+        while r >= q:
+            r = bits(k)
+        return r
+
+    # Drawn color id -> slot, in order of first use; the slots are ranked by
+    # color id at the end, so the table stays small for any max_colors.
     slots: dict[int, int] = {}
-    top_blocks = _fill(mat, 0, n, rng, max_colors, slots)
-    rank = np.zeros(len(slots) + 1, dtype=np.int32)
+    runs: list[tuple[int, int]] = []  # (slot, length), row by row
+    top = [0, n]
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = [(0, n, [])]
+    while stack:
+        lo, hi, prefix = stack.pop()
+        q = hi - lo - 1  # the cut positions lo + 1..hi - 1
+        if not q:
+            runs += prefix  # a single vertex: its row is its prefix
+            continue
+        m = 2 + below(min(q, 4))  # randint(2, min(size, 5))
+        # sample(range(lo + 1, hi), m - 1): its pool path for a population
+        # of at most 21, its set path above.
+        if q <= 21:
+            pool = list(range(lo + 1, hi))
+            cuts = []
+            for i in range(q - 1, q - m, -1):
+                r = below(i + 1)
+                cuts.append(pool[r])
+                pool[r] = pool[i]
+        else:
+            cuts = []
+            while len(cuts) < m - 1:
+                r = lo + 1 + below(q)
+                if r not in cuts:
+                    cuts.append(r)
+        bounds = [lo, *sorted(cuts), hi]
+        # randint(1, max_colors), or else sample(range(1, max_colors + 1), 2);
+        # both begin with the same draw.  In the pool path, the place of the
+        # first pick then holds max_colors.
+        two = max_colors > 1 and rng.random() >= 0.25
+        first = below(max_colors)
+        if not two:
+            palette = (1 + first,)
+        elif max_colors <= 21:
+            second = below(max_colors - 1)
+            palette = (1 + first, max_colors if second == first else 1 + second)
+        else:
+            second = first
+            while second == first:
+                second = below(max_colors)
+            palette = (1 + first, 1 + second)
+        rows = [prefix[:] for _ in range(m)]
+        for i in range(m):
+            length = bounds[i + 1] - bounds[i]
+            for j in range(i + 1, m):
+                color = palette[below(2)] if two else palette[0]  # choice(palette)
+                rows[j].append((slots.setdefault(color, len(slots)), length))
+        if hi - lo == n:
+            top = bounds
+        stack += reversed(list(zip(bounds, bounds[1:], rows)))
+    rank = np.empty(len(slots), dtype=np.int32)
     rank[[slots[color] for color in sorted(slots)]] = np.arange(1, len(slots) + 1)
-    coloring = Coloring(n, rank[mat[np.tri(n, k=-1, dtype=bool)]])
-    return coloring, tuple(tuple(range(lo, hi)) for lo, hi in top_blocks)
-
-
-def _fill(
-    mat: np.ndarray, lo: int, hi: int, rng: random.Random, max_colors: int,
-    slots: dict[int, int],
-) -> list[tuple[int, int]]:
-    """Color the edges inside vertices lo..hi-1; return the blocks as ranges."""
-    size = hi - lo
-    if size < 2:
-        return [(lo, hi)] if size else []
-    m = rng.randint(2, min(size, 5))
-    cuts = sorted(rng.sample(range(1, size), m - 1))
-    bounds = [lo] + [lo + cut for cut in cuts] + [hi]
-    blocks = list(zip(bounds, bounds[1:]))
-    if max_colors == 1 or rng.random() < 0.25:
-        palette = [rng.randint(1, max_colors)]
-    else:
-        palette = rng.sample(range(1, max_colors + 1), 2)
-    for bi, (a0, a1) in enumerate(blocks):
-        for b0, b1 in blocks[bi + 1 :]:
-            color = palette[0] if len(palette) == 1 else rng.choice(palette)
-            mat[b0:b1, a0:a1] = slots.setdefault(color, len(slots) + 1)
-    for block in blocks:
-        _fill(mat, *block, rng, max_colors, slots)
-    return blocks
+    coloring = Coloring(n, _colex_runs(runs, rank))
+    return coloring, tuple(tuple(range(a, b)) for a, b in zip(top, top[1:]))

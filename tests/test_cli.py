@@ -262,7 +262,8 @@ class TestRandomAndDot:
         assert stderr.startswith("error: need ")
 
     def test_out_of_memory_is_unknown(self, monkeypatch, capsys):
-        # What an N x N matrix for N = 10^5 would raise; nothing is allocated.
+        # What the colex array of K_N, N = 10^5, would raise: about 5 * 10^9
+        # int32 entries, 20 GB.  The stub allocates nothing.
         def too_big(n, seed, max_colors):
             raise MemoryError
 

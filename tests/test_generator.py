@@ -1,9 +1,12 @@
 import hashlib
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gallai.core import PreconditionViolated, serialize
+from gallai.core import Coloring, PreconditionViolated, serialize, total_edges
 from gallai.generator import random_gallai
 from gallai.verify import check_necessary, class_sizes, is_gallai, top_l_cover
 
@@ -33,8 +36,10 @@ class TestBasics:
     def test_reference_instance_meets_cover_bounds(self):
         c, _ = random_gallai(12, 42, 5)
         assert is_gallai(c)
+        # The l largest classes are the first l of the full ranking.
+        ranked, _ = top_l_cover(c, c.k)
         for ell in range(1, c.k + 1):
-            _, total = top_l_cover(c, ell)
+            total = sum(c.counts[col - 1] for col in ranked[:ell])
             assert total >= sum(12 - j for j in range(1, ell + 1))
 
     def test_different_seeds_differ_somewhere(self):
@@ -75,8 +80,9 @@ class TestInvariants:
     @settings(max_examples=80)
     def test_cover_bound_and_necessary_condition(self, n, seed):
         c, _ = random_gallai(n, seed, 5)
+        ranked, _ = top_l_cover(c, c.k)
         for ell in range(1, c.k + 1):
-            _, total = top_l_cover(c, ell)
+            total = sum(c.counts[col - 1] for col in ranked[:ell])
             assert total >= sum(n - j for j in range(1, ell + 1))
         ok, _ = check_necessary(class_sizes(c))
         assert ok
@@ -191,3 +197,62 @@ class TestStreamPin:
         c, blocks = random_gallai(30, 1, 10**12)
         digest = hashlib.sha256(serialize(c).encode()).hexdigest()[:16]
         assert (c.k, digest, tuple(len(b) for b in blocks)) == (23, "b21a8e1ee9c1cd2f", (19, 9, 2))
+
+
+def _reference(n, seed, max_colors):
+    """The generator as it calls ``randint``, ``sample``, ``choice`` and
+    ``random`` and paints an n x n matrix, one slice per block pair."""
+    rng = random.Random(seed)
+    mat = np.zeros((n, n), dtype=np.int32)
+    slots = {}
+
+    def fill(lo, hi):
+        size = hi - lo
+        if size < 2:
+            return [(lo, hi)] if size else []
+        m = rng.randint(2, min(size, 5))
+        cuts = sorted(rng.sample(range(1, size), m - 1))
+        bounds = [lo] + [lo + cut for cut in cuts] + [hi]
+        blocks = list(zip(bounds, bounds[1:]))
+        if max_colors == 1 or rng.random() < 0.25:
+            palette = [rng.randint(1, max_colors)]
+        else:
+            palette = rng.sample(range(1, max_colors + 1), 2)
+        for bi, (a0, a1) in enumerate(blocks):
+            for b0, b1 in blocks[bi + 1 :]:
+                color = palette[0] if len(palette) == 1 else rng.choice(palette)
+                mat[b0:b1, a0:a1] = slots.setdefault(color, len(slots) + 1)
+        for block in blocks:
+            fill(*block)
+        return blocks
+
+    top_blocks = fill(0, n)
+    rank = np.zeros(len(slots) + 1, dtype=np.int32)
+    rank[[slots[color] for color in sorted(slots)]] = np.arange(1, len(slots) + 1)
+    coloring = Coloring(n, rank[mat[np.tri(n, k=-1, dtype=bool)]])
+    return coloring, tuple(tuple(range(lo, hi)) for lo, hi in top_blocks)
+
+
+class TestReference:
+    # The cuts take sample's pool path for blocks of up to 22 vertices and
+    # its set path above; the palette takes the pool path for up to 21
+    # colors, the set path from 22, and max_colors == 1 draws no random().
+    @pytest.mark.parametrize("max_colors", [1, 2, 3, 5, 21, 22, 30, 10**12])
+    def test_matches_the_rng_methods(self, max_colors):
+        for n in [*range(1, 41), 64, 100, 257, 300]:
+            for seed in (0, 1, 2024):
+                assert random_gallai(n, seed, max_colors) == _reference(n, seed, max_colors), (
+                    n, seed)
+
+    def test_peak_memory_is_a_few_colex_arrays(self):
+        # The rows go out as runs: no n x n matrix and no mask over one.  The
+        # bound is four int32 colex arrays.
+        n = 2000
+        random_gallai(n, 1)
+        tracemalloc.start()
+        try:
+            random_gallai(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 4 * total_edges(n)
