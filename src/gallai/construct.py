@@ -191,10 +191,44 @@ def _capacity_ok(residual: list[int], top: int) -> bool:
 def _division_groups(n: int, k: int, p: int, q: int) -> tuple[list[list[int]], list[int]]:
     """Partition labels 1..n-1 into k groups of sum p and one of sum q.
 
-    Recursive schedule; every reduction removes a suffix of the label
-    interval, so recursive instances live on prefixes [1, n'-1] and no
-    relabeling is needed.
+    Every reduction removes a suffix of the label interval, so smaller
+    instances live on prefixes [1, n'-1] and no relabeling is needed.  The
+    two that repeat with n, a spanning star off the q class and a pair of
+    stars off each p class, run in this loop, so the recursion of
+    ``_division_rest`` does not deepen with n; each removed star joins its
+    group after the labels of the smaller instance.
     """
+    stars: list[int] = []  # off the q class, outermost first
+    pairs: list[list[list[int]]] = []  # one pair per p class, outermost first
+    while n > 1 and k > 0 and q < p:
+        if q >= n - 1:
+            # Remove a spanning star from the q class.
+            stars.append(n - 1)
+            n, q = n - 1, q - (n - 1)
+            continue
+        if p <= 2 * n - 3:
+            break
+        # p >= 2n-2: remove one pair of stars from each p class.
+        n2, p2 = n - 2 * k, p - (2 * n - 2 * k - 1)
+        if p2 < n2 - 1 and n - 4 * k != 2:
+            break
+        pairs.append([_pair(n - i, n2 - 1 + i) for i in range(1, k + 1)])
+        if p2 < n2 - 1:
+            # n = 4k+2, p = 8k+3, q = 3k+1: pairs, then a star off the q class.
+            if p != 2 * n - 1 or q != 3 * k + 1:
+                raise InternalScheduleError(f"delta=2 endgame mismatch: n={n}, p={p}, q={q}")
+            stars.append(n2 - 1)
+            n2, q = n2 - 1, q - (n2 - 1)
+        n, p = n2, p2
+    pgroups, qgroup = _division_rest(n, k, p, q)
+    for row in reversed(pairs):
+        for group, pair in zip(pgroups, row):
+            group += pair
+    return pgroups, qgroup + stars[::-1]
+
+
+def _division_rest(n: int, k: int, p: int, q: int) -> tuple[list[list[int]], list[int]]:
+    """``_division_groups`` where neither of its loop's reductions applies."""
     if n <= 1:
         if q != 0 or (k > 0 and p > 0):
             raise InternalScheduleError(f"bad base instance n={n}, k={k}, p={p}, q={q}")
@@ -209,10 +243,6 @@ def _division_groups(n: int, k: int, p: int, q: int) -> tuple[list[list[int]], l
         for g in pgroups[k:]:
             merged = merged + g
         return pgroups[:k], merged
-    if q >= n - 1:
-        # Remove a spanning star from the q class.
-        pgroups, qgroup = _division_groups(n - 1, k, p, q - (n - 1))
-        return pgroups, qgroup + [n - 1]
 
     # Now q <= min(n-2, p-1).
     if p <= 2 * n - 3:
@@ -244,15 +274,8 @@ def _division_groups(n: int, k: int, p: int, q: int) -> tuple[list[list[int]], l
         merged = [halves[2 * t] + halves[2 * t + 1] for t in range(len(halves) // 2)]
         return merged + pairs, qgroup
 
-    # p >= 2n-2: remove one pair of stars from each p-class.
-    pairs_b = [_pair(n - i, n - 2 * k - 1 + i) for i in range(1, k + 1)]
-    p2 = p - (2 * n - 2 * k - 1)
-    n2 = n - 2 * k
-    if p2 >= n2 - 1:
-        pgroups, qgroup = _division_groups(n2, k, p2, q)
-        return [pg + pb for pg, pb in zip(pgroups, pairs_b)], qgroup
-    delta = n - 4 * k
-    if delta == 1:
+    # p >= 2n-2, and removing the pairs would leave p below n-1.
+    if n - 4 * k == 1:
         # n = 4k+1, p = 8k, q = 2k: one star triple plus k-1 quadruples.
         if p != 2 * n - 2 or q != 2 * k:
             raise InternalScheduleError(f"delta=1 endgame mismatch: n={n}, p={p}, q={q}")
@@ -260,14 +283,7 @@ def _division_groups(n: int, k: int, p: int, q: int) -> tuple[list[list[int]], l
         for i in range(1, k):
             groups.append([4 * k - 2 * i, 4 * k - 2 * i - 1, 2 * i, 2 * i + 1])
         return groups, [2 * k]
-    if delta == 2:
-        # n = 4k+2, p = 8k+3, q = 3k+1: pairs, then a star off the q class.
-        if p != 2 * n - 1 or q != 3 * k + 1:
-            raise InternalScheduleError(f"delta=2 endgame mismatch: n={n}, p={p}, q={q}")
-        pgroups, qgroup = _division_groups(n2 - 1, k, p2, q - (n2 - 1))
-        qgroup = qgroup + [n2 - 1]
-        return [pg + pb for pg, pb in zip(pgroups, pairs_b)], qgroup
-    raise InternalScheduleError(f"unexpected endgame delta={delta} for n={n}, k={k}, p={p}")
+    raise InternalScheduleError(f"unexpected endgame delta={n - 4 * k} for n={n}, k={k}, p={p}")
 
 
 def _pair(hi: int, lo: int) -> list[int]:

@@ -186,7 +186,8 @@ class Coloring:
 
     Immutable after construction: the colors are kept in a private,
     read-only int32 array in colex edge order.  Every color id in 1..k
-    occurs on at least one edge (no phantom colors).  ``n``, ``k``,
+    occurs on at least one edge (no phantom colors), and color ids of a
+    float, string or bool dtype are refused, not converted.  ``n``, ``k``,
     ``counts`` and the colors that ``edge_color`` and ``edges`` return are
     Python ints.
     """
@@ -196,7 +197,11 @@ class Coloring:
     def __init__(self, n: int, colors: Iterable[int], k: Optional[int] = None):
         if n < 1:
             raise InvariantViolation(f"vertex count must be >= 1, got {n}")
-        arr = colors if isinstance(colors, np.ndarray) else np.fromiter(colors, dtype=np.int64)
+        arr = colors if isinstance(colors, np.ndarray) else np.array(list(colors))
+        if arr.dtype.kind not in "iu":
+            if arr.size:  # np.array([]) is float64 and holds no bad value
+                raise InvariantViolation(f"color ids must be integers, got dtype {arr.dtype}")
+            arr = arr.astype(np.int64)
         edges = total_edges(n)
         if len(arr) != edges:
             raise InvariantViolation(
@@ -682,7 +687,8 @@ def _coloring_from_entries(
         if ev == n:
             eu += 1
             ev = eu + 1
-    return Coloring(n, arr, k=k)
+    # Every entry is an int from ``parse``: fromiter skips np.array's dtype search.
+    return Coloring(n, np.fromiter(arr, dtype=np.int64, count=expected), k=k)
 
 
 # A line of the text: numbers [+-]?[0-9]+ apart by runs of ASCII spaces or

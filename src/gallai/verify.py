@@ -91,63 +91,24 @@ def _module_end(run: np.ndarray, lo: int, s: int) -> Optional[int]:
     return lo + int(cuts[-1]) + 3 if cuts.size else None
 
 
-def _next_start(mat: np.ndarray, lo: int) -> int:
-    """The least x in lo+1..s-3 (s = len(mat)) that can start a module
-    x..t-1 with t >= x+3 of the range x..s-1, or s-2 if there is none.
+def _first_rainbow(mat: np.ndarray, lo: int, hi: int, t: int) -> Optional[tuple[int, int, int]]:
+    """The first rainbow (u, v, w) of the color matrix ``mat`` in row-major
+    order with lo <= u < hi and t <= v, w < len(mat), or None.
 
-    If row s-1 of ``mat`` is mixed from x, s-1 joins the module in one
-    color and so is not t: rows s-2 and s-1 both have one color at x, x+1
-    and x+2.  Else row s-1 has one color from x on.
+    ``bad[i, j, l]`` says that (lo+i, t+j, t+l) is rainbow.  One call scans
+    a range lo..s-1 whole (hi = s = len(mat), t = lo) or the row of lo over
+    t..s-1 (hi = lo + 1); ``rainbow_witness`` says why the first hit is the
+    lexicographically first witness.
     """
-    s = len(mat)
-    last, prev = mat[s - 1, lo + 1 : s - 1], mat[s - 2, lo + 1 : s - 1]
-    same = (last[:-2] == last[1:-1]) & (last[1:-1] == last[2:])
-    same &= (prev[:-2] == prev[1:-1]) & (prev[1:-1] == prev[2:])
-    changes = np.flatnonzero(last[1:] != last[:-1])  # the last run starts one past the last
-    x = min(s - 3 - lo, int(changes[-1]) + 1 if changes.size else 0)
-    if same[:x].any():
-        x = int(same.argmax())
-    return lo + 1 + x
-
-
-def _broadcast(mat: np.ndarray, lo: int) -> Optional[tuple[int, int, int]]:
-    """The first rainbow (u, v, w) of the color matrix ``mat`` inside lo..s-1
-    (s = len(mat)), from one s^3 broadcast over the range."""
-    sub = mat[lo:, lo:]
-    uv, uw, vw = sub[:, :, None], sub[:, None, :], sub[None, :, :]
-    bad = uv != uw
-    bad &= uv != vw
-    bad &= uw != vw
+    a, sub = mat[lo:hi, t:], mat[t:, t:]
+    bad = a[:, :, None] != a[:, None, :]
+    bad &= a[:, :, None] != sub
+    bad &= a[:, None, :] != sub
     h = int(bad.argmax())
     if not bad.flat[h]:
         return None
     m = len(sub)
-    return (lo + h // (m * m), lo + h // m % m, lo + h % m)
-
-
-def _row(mat: np.ndarray, u: int, t: int) -> Optional[tuple[int, int, int]]:
-    """The first rainbow (u, v, w) of the color matrix ``mat`` with
-    t <= v < w < len(mat)."""
-    m = len(mat) - t
-    a = mat[u, t:]
-    sub = mat[t:, t:]
-    bad = a[:, None] != a[None, :]
-    bad &= a[:, None] != sub
-    bad &= a[None, :] != sub
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        h = int(hits[0])
-        return (u, t + h // m, t + h % m)
-    return None
-
-
-def _scan(mat: np.ndarray, rows: range) -> Optional[tuple[int, int, int]]:
-    """The first rainbow (u, v, w) of the color matrix ``mat`` with u in ``rows``."""
-    for u in rows:
-        hit = _row(mat, u, u + 1)
-        if hit is not None:
-            return hit
-    return None
+    return (lo + h // (m * m), t + h // m % m, t + h % m)
 
 
 def _first_from(
@@ -159,41 +120,37 @@ def _first_from(
 
     ``run`` holds the runs from lo (``_runs``) of at least lo..s-1.  While
     the range has a prefix module lo..t-1, it is cut to lo..t-1, and the row
-    of lo over t..s-1 and the range t..s-1 are kept.  The innermost range
-    is scanned in one broadcast, or row by row up to the next vertex that
-    can start a module, from which one more range is left.  See
-    ``rainbow_witness``.
+    of lo over t..s-1 and the range t..s-1 are kept.  A range of more than
+    ``_BROADCAST_MAX_S`` vertices with no module at lo keeps only the row of
+    lo and lo+1..s-1, whose start gets the exact module test in turn; a
+    smaller one is scanned whole.  See ``rainbow_witness``.
     """
     mixed = np.flatnonzero(run < np.arange(run.size))  # offsets from lo
     peeled: list[tuple[int, int]] = []  # (t, s), outermost first
-    hit, rest = None, None
+    hit = None
     while True:
         below = int(np.searchsorted(mixed, s - lo))
         if below == 0:
             break
         s = lo + int(mixed[below - 1]) + 1  # star suffix
         if s - lo <= _BROADCAST_MAX_S:
-            hit = _broadcast(mat[:s, :s], lo)
+            hit = _first_rainbow(mat[:s, :s], lo, s, lo)
             break
         t = _module_end(run, lo, s)
-        if t is None:
-            x = _next_start(mat[:s, :s], lo)
-            hit = _scan(mat[:s, :s], range(lo, x))
-            rest = (x, s) if x < s - 2 else None
+        if t is None:  # lo alone is a module: keep its row and lo+1..s-1
+            peeled.append((lo + 1, s))
             break
         peeled.append((t, s))
         s = t
     if hit is not None and hit[0] == lo:
         return hit
     for t, top in reversed(peeled):
-        row_hit = _row(mat[:top, :top], lo, t)
+        row_hit = _first_rainbow(mat[:top, :top], lo, lo + 1, t)
         if row_hit is not None:
             return row_hit
     if hit is not None:
         return hit
     ranges += peeled
-    if rest is not None:
-        ranges.append(rest)
     return None
 
 
@@ -208,31 +165,33 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     two edges in the triangle agree.  So the range ends after its last
     vertex whose edges down to lo are mixed.
 
-    Prefix-module argument: let lo + 3 <= t < s be such that every vertex z
-    in t..s-1 sends its edges to lo..t-1 in one color, so lo..t-1 is a
-    module (Gallai's substitution; the generator and the 8k^2+1
-    construction nest blocks this way).  A triangle with two vertices in
-    lo..t-1 has two equal edges.  A triangle (x, v, w) with x in lo..t-1
-    has the colors of (lo, v, w), which is lexicographically no larger.  So
-    the candidates are the first triangle inside lo..t-1 (found the same
-    way), the first rainbow (lo, v, w) with v, w in t..s-1 (one m^2 pass
-    over the row of lo) and the first triangle inside t..s-1 (a range of its
-    own).  Lex order picks, in turn: an inner witness with u = lo; else a
-    row witness; else the inner witness; else one from t..s-1.  The largest
-    such t is taken, at every range start lo, and the inner range is cut
-    again at lo; its row passes run innermost first, and the ranges t..s-1
-    wait on an explicit stack, lowest on top, so no Python recursion grows
-    with n.  The runs that give s and t at lo are one ``searchsorted`` of
-    the colex color breaks (``_runs``).
+    Prefix-module argument: let lo < t < s be such that every vertex z in
+    t..s-1 sends its edges to lo..t-1 in one color, so lo..t-1 is a module
+    (Gallai's substitution; the generator and the 8k^2+1 construction nest
+    blocks this way).  A triangle with two vertices in lo..t-1 has two
+    equal edges.  A triangle (x, v, w) with x in lo..t-1 has the colors of
+    (lo, v, w), which is lexicographically no larger.  So the candidates
+    are the first triangle inside lo..t-1 (found the same way), the first
+    rainbow (lo, v, w) with v, w in t..s-1 (one m^2 pass over the row of
+    lo) and the first triangle inside t..s-1 (a range of its own).  Lex
+    order picks, in turn: an inner witness with u = lo; else a row witness;
+    else the inner witness; else one from t..s-1.  At every range start lo
+    the largest such t >= lo + 3 is taken and the inner range is cut again
+    at lo.  With no such t, t = lo + 1, as lo alone is a module: the row of
+    lo is scanned and lo+1..s-1 gets the same exact test at its start.  Row
+    passes run innermost first, and the ranges t..s-1 wait on an explicit
+    stack, lowest on top, so no Python recursion grows with n.  The runs
+    that give s and t at lo are one ``searchsorted`` of the colex color
+    breaks (``_runs``).
 
-    A range of at most ``_BROADCAST_MAX_S`` vertices is scanned in one
-    broadcast: ``bad[u, v, w]`` says that (u, v, w) is rainbow.  It is
-    symmetric under permuting (u, v, w), and false when two of them are
-    equal, since then two of the three edges agree (the diagonal is 0).  So
-    the first row-major hit, the lexicographically smallest hit, is the
-    lexicographically first witness, with u < v < w.  A larger range with
-    no prefix module at lo is scanned row by row up to the next x where a
-    module can start (``_next_start``), and x..s-1 becomes a range.
+    Each scan is one ``_first_rainbow`` call: a range of at most
+    ``_BROADCAST_MAX_S`` vertices whole, or the row of lo over t..s-1.  A
+    triple with a repeated vertex is never rainbow, since two of its edges
+    agree (the diagonal is 0), and a rainbow triple stays rainbow under any
+    permutation.  The cube of a range is closed under every permutation,
+    the row {lo} x (t..s-1)^2 under swapping v and w, so the first
+    row-major hit, the lexicographically smallest, has u < v < w and is the
+    first witness the call covers.
 
     Cost: one O(E) pass over the colors finds s: the ``reduceat`` pass of
     ``_mixed_rows`` up to ``_BROADCAST_MAX_S`` vertices, where one broadcast
@@ -240,14 +199,9 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     costs O(s) more.  The cubic work runs only on the rows of the range
     starts and on ranges of at most ``_BROADCAST_MAX_S`` vertices, so a
     nest of substitutions is scanned block by block.  A coloring with no
-    contiguous module, such as a label-shuffled one, costs O(s^3).
-
-    The scans run on a color matrix of 0..s-1 only (``_prefix_matrix``).
-    For the row of u over t..s-1,
-    ``bad[i, j]`` says that (u, v, w) with v = t+i, w = t+j is rainbow.
-    It is symmetric in (i, j), since the color matrix is, and false on the
-    diagonal, so the first row-major hit has v < w and is the
-    lexicographically first with that u.  No triangular mask is needed.
+    contiguous module, such as a label-shuffled one, costs O(s^3), with one
+    exact module test per row.  The scans run on a color matrix of 0..s-1
+    only (``_prefix_matrix``).
     """
     if c.n < 3 or c.k < 3:
         return None
@@ -255,7 +209,10 @@ def rainbow_witness(c: Coloring) -> Optional[tuple[int, int, int]]:
     if c.n <= _BROADCAST_MAX_S:
         # No module is sought, so the star cut takes the cheaper pass.
         mixed = _mixed_rows(c)
-        return _broadcast(_prefix_matrix(arr, int(mixed[-1]) + 1, c.k), 0) if mixed.size else None
+        if mixed.size == 0:
+            return None
+        s = int(mixed[-1]) + 1
+        return _first_rainbow(_prefix_matrix(arr, s, c.k), 0, s, 0)
     breaks = np.flatnonzero(arr[1:] != arr[:-1]) + 1
     ends = np.append(breaks, arr.size)
     run = _runs(ends, breaks, 0, c.n)

@@ -1,3 +1,6 @@
+import inspect
+import re
+import sys
 from itertools import product
 
 import numpy as np
@@ -14,6 +17,7 @@ from gallai.core import (
     PeelImpossible,
     PreconditionViolated,
     TooManyColors,
+    Verdict,
     balanced_sizes,
     canonicalize,
     star_partition,
@@ -194,6 +198,20 @@ class TestDivision:
                     assert is_special_coloring(c)
                     want = [p] * k + ([q] if q else [])
                     assert class_sizes(c) == canonicalize(want, n)
+
+    @pytest.mark.parametrize("p, q", [(999501, 999499), (1998995, 5)])
+    def test_stars_and_pairs_off_k_2000_need_no_recursion(self, p, q):
+        # Each removed a spanning star off the q class, or a star pair off the
+        # p class, in a call of its own, and went past the recursion limit.
+        # Here the limit leaves 50 frames above the test's own.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            c = construct_division(DivisionParams(n=2000, k=1, p=p, q=q))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert is_special_coloring(c)
+        assert class_sizes(c) == canonicalize([p, q], 2000)
 
     def test_single_vertex(self):
         c = construct_division(DivisionParams(n=1, k=0, p=0, q=0))
@@ -665,6 +683,26 @@ class TestMergeClasses:
 
 
 class TestConstructAny:
+    def test_base_with_no_witness_is_an_internal_error(self, monkeypatch, capsys):
+        # At n = g(4) = 8 nothing is peeled, and the oracle must build the
+        # base.  Should it ever answer without a witness, the guard refuses,
+        # and the CLI says "unknown" (exit 3) rather than "infeasible".
+        from gallai import oracle
+        from gallai.cli import main
+
+        d = canonicalize([16, 4, 4, 4], 8)
+        message = f"no coloring found for {d} (expected total)"
+        real = oracle.search_realizable
+
+        def search(e, *args, **kwargs):
+            return Verdict("unknown", None, 0) if e == d else real(e, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "search_realizable", search)
+        with pytest.raises(InternalScheduleError, match=re.escape(message)):
+            construct_any(d)
+        assert main(["construct", "--n", "8", "--dist", "16,4,4,4"]) == 3
+        assert capsys.readouterr().err == f"internal error: {message}\n"
+
     def test_k3_base_region(self):
         c = construct_any(canonicalize([6, 2, 2], 5))
         assert isinstance(c, Coloring)
@@ -834,17 +872,14 @@ class TestWorkCounts:
         construct_any(d)  # pays first-call costs, such as the oracle's table
         sizes = []  # vertices each row pass or broadcast looked at
 
-        def spy(name):
-            real = getattr(verify, name)
+        real = verify._first_rainbow
 
-            def scan(mat, *at):  # _row(mat, u, t) or _broadcast(mat, lo)
-                sizes.append(len(mat) - at[-1])
-                return real(mat, *at)
-            return scan
+        def scan(mat, lo, hi, t):  # a row pass (hi = lo + 1) or a broadcast (t = lo)
+            sizes.append(len(mat) - t)
+            return real(mat, lo, hi, t)
 
         with monkeypatch.context() as m:
-            for name in ("_row", "_broadcast"):
-                m.setattr(verify, name, spy(name))
+            m.setattr(verify, "_first_rainbow", scan)
             c, calls = self._counted(monkeypatch, lambda: construct_any(d))
         assert calls["rainbow_witness"] == 1
         assert sizes and max(sizes) <= 21

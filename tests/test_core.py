@@ -178,6 +178,15 @@ class TestColoring:
         with pytest.raises(InvariantViolation, match="color ids must be >= 1, got 0"):
             Coloring.from_edges(2, [(0, 1, 0)])
 
+    @pytest.mark.parametrize(
+        "colors", [[1.5, 1, 2], ["1", "1", "2"], np.array([1.0, 1.0, 2.0]), [True, True, True]]
+    )
+    def test_non_integer_colors_refused(self, colors):
+        # Converted to int64, the first two read as colors (1, 1, 2); the
+        # float array stopped in np.bincount with a bare TypeError.
+        with pytest.raises(InvariantViolation, match="color ids must be integers"):
+            Coloring(3, colors)
+
 
 class TestStarPartition:
     def test_valid(self):

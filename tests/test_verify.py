@@ -216,11 +216,11 @@ class TestRainbow:
                   **{(u, 3): 2 for u in range(3)}, **{(u, 4): 3 for u in range(3)}}
         c = Coloring.from_edges(5, [(u, v, col) for (u, v), col in colors.items()])
         ends = _spy(monkeypatch, "_module_end")
-        rows = _spy(monkeypatch, "_row")
+        scans = _spy(monkeypatch, "_first_rainbow")
         assert rainbow_witness(c) == naive_rainbow(c) == (0, 1, 2)
         assert [(args[1:], t) for args, t in ends] == [((0, 5), 3), ((0, 3), None)]
         # The inner witness starts at 0, so the row of 0 over 3..4 is not scanned.
-        assert [(args[1:], len(args[0])) for args, _ in rows] == [((0, 1), 3)]
+        assert [(args[1:], len(args[0])) for args, _ in scans] == [((0, 1, 1), 3)]
 
     def test_deeply_nested_modules_need_no_recursion(self):
         # A scan that called itself once per module went past the recursion
@@ -450,7 +450,7 @@ class TestRainbowAgainstInt32Scan:
     @pytest.mark.parametrize("n", [70, 110, 150])
     def test_label_shuffled_generator_output(self, n):
         # Relabelled, a substitution has few contiguous modules: the scan
-        # goes row by row between the vertices that could start one.
+        # goes row by row, with the exact module test at every row.
         rng = random.Random(n)
         for seed in range(3):
             c = _label_shuffled(random_gallai(n, seed)[0], seed)
@@ -473,15 +473,19 @@ class TestRainbowAgainstInt32Scan:
                 arr[at] = c.k + 1
                 moved = Coloring(s, arr)
                 with monkeypatch.context() as m:
-                    wide = _spy(m, "_broadcast")
-                    rows = _spy(m, "_row")
+                    scans = _spy(m, "_first_rainbow")
                     assert rainbow_witness(moved) == _int32_rainbow_witness(moved)
+                # A broadcast scans a range lo..s-1 whole (t = lo), a row
+                # pass the row of lo alone (hi = lo + 1, t > lo).
+                wide = [args for args, _ in scans if args[3] == args[1]]
+                rows = [args for args, _ in scans if args[3] != args[1]]
+                assert all(args[2] == args[1] + 1 for args in rows)
                 if s == 64:
-                    assert [(len(args[0]), args[1]) for args, _ in wide] == [(64, 0)]
+                    assert [(len(args[0]), args[1]) for args in wide] == [(64, 0)]
                     assert rows == []
                 else:
-                    assert all(len(args[0]) - args[1] <= 64 for args, _ in wide)
-                    assert rows[0][0][1:] == (0, 1)
+                    assert all(len(args[0]) - args[1] <= 64 for args in wide)
+                    assert rows[0][1:] == (0, 1, 1)
 
     def test_more_than_255_colors(self):
         # One star per vertex: vertex v has color 260 - v below it.  Edge
