@@ -22,8 +22,18 @@ memory; only the time budget bounds how long the build takes.
 Which decompositions a level needs: when the 2-colored K_m has a cut whose
 crossing pairs share one color, merging the blocks on each side gives a
 2-block decomposition, and every 2-coloring of K_3 has such a cut.  So a
-level takes every 2-block decomposition in one cross color and every one
-with m >= 4 blocks in two distinct cross colors, and no others.
+level takes every 2-block decomposition in one cross color, and in two
+cross colors only decompositions into m >= 4 blocks.  A count vector of
+those depends only on the sum y of the blocks' vectors, the two colors and
+the share e of the second one.  If some split of the cross pairs with
+share e gives every pair at one block B_i one color, that coloring has the
+one-color cut B_i | rest, and both sides are rainbow-free, so it is the
+2-block decomposition (max(s_i, s - s_i), min(s_i, s - s_i)) in one cross
+color.  A level takes that one first (its first block is larger, or as
+large with a larger second), so the vector is stored already: the level
+drops such shares (``_kept_shares``) and does not fold block sizes left
+with none.  Only the m cuts at one block are tested, not all 2^(m - 1);
+still, up to K_8 every level comes from 2-block decompositions alone.
 
 ``compute_g`` asks ``search_realizable`` about the k-part distributions of
 K_n one at a time, keeping no witness, and moves on to n + 1 at the first
@@ -35,6 +45,7 @@ with the tests (``tests/conftest.py``) and checks the table there.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -84,6 +95,10 @@ class _Recipe(NamedTuple):
 # (None for the empty K_1).  Index 0 is an unused empty level.
 _TABLES: dict[int, list[dict[Vector, Optional[_Recipe]]]] = {}
 _STORE = threading.Lock()
+# k -> (block size, runs) -> the spreads over a sum with those runs of
+# every vector of that block size's level, in level order: the work list
+# of a fold, kept for later levels (a level is the same in every table).
+_SPREADS: dict[int, dict[tuple[int, tuple[int, ...]], list[Vector]]] = {}
 
 
 def _runs(y: Vector) -> tuple[int, ...]:
@@ -121,6 +136,53 @@ def _pair_subsets(sizes: tuple[int, ...]):
     return pairs, reach
 
 
+def _kept_shares(sizes: tuple[int, ...]) -> list[int]:
+    """The shares e, 0 < 2e <= total, that the second cross color of a
+    substitution into blocks of ``sizes`` takes, less every share some split
+    of the cross pairs reaches while the pairs at one block share a color:
+    for block i, the sums of the other pairs, with or without that block's
+    s_i (s - s_i) pairs added.  In ``_pair_subsets`` order."""
+    s = sum(sizes)
+    pairs = list(combinations(range(len(sizes)), 2))
+    reach = cut = 1  # bit e: share e is reached; reached with a one-color block
+    for a, b in pairs:
+        reach |= reach << sizes[a] * sizes[b]
+    for i, size in enumerate(sizes):
+        sums = 1
+        for a, b in pairs:
+            if i != a and i != b:
+                sums |= sums << sizes[a] * sizes[b]
+        cut |= sums | sums << size * (s - size)
+    total = reach.bit_length() - 1
+    kept = reach & ~cut & ((2 << total // 2) - 1)  # 0 < 2e <= total
+    return [e for e in _pair_subsets(sizes)[1] if kept >> e & 1] if kept else []
+
+
+def _splits(s: int) -> list[tuple[tuple[int, ...], Optional[list[int]]]]:
+    """Block sizes of the substitutions that can add an entry to K_s's
+    level, in the order it takes them, each with the shares of its second
+    cross color (None for two blocks: their cross pairs take one color).
+
+    Sizes do not increase, from at most s - 1; three blocks are covered by
+    two, and m >= 4 blocks only with a share ``_kept_shares`` keeps.
+    """
+    out: list[tuple[tuple[int, ...], Optional[list[int]]]] = []
+
+    def walk(sizes: tuple[int, ...], left: int) -> None:
+        if left == 0:
+            shares = None if len(sizes) == 2 else _kept_shares(sizes)
+            if shares is None or shares:
+                out.append((sizes, shares))
+            return
+        for part in range(min(sizes[-1] if sizes else s - 1, left), 0, -1):
+            if len(sizes) == 2 and part == left:
+                continue  # three blocks: covered by two
+            walk(sizes + (part,), left - part)
+
+    walk((), s)
+    return out
+
+
 def _tick(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceeded("time budget exhausted")
@@ -137,56 +199,72 @@ def _fill_level(
     with sizes summing to t maps one-to-one into K_t's level (all cross
     pairs in the largest color), and K_t's level into K_s's (add s - t
     vertices, each joined to all earlier ones in the largest color).  So
-    stopping on a fold never turns an answer into ``unknown``.
-    """
-    spread_memo: dict[tuple[Vector, tuple[int, ...]], list[Vector]] = {}
+    stopping on a fold never turns an answer into ``unknown``, and a fold
+    left out because no split needs it (``_splits``) would only have
+    stopped a level that stops anyway, with the same node count: every
+    stop on the node budget counts the whole budget.
 
-    def add(v: list[int], sizes, parts, e_a: int, a: int, b: int) -> None:
+    The folds of the current block sizes are kept on a stack: the first is
+    the first block's level, and each later one maps its sums to the sum
+    and block spread it came from.  Only an entry the level stores gets its
+    blocks' vectors, in its color order.
+    """
+    spread_lists = _SPREADS.setdefault(k, {})
+    stack: list[dict] = []
+
+    def parts(z: Vector, order: list[int]) -> tuple[Vector, ...]:
+        """The block vectors behind the last fold's sum z, each taken in
+        ``order`` of z's positions."""
+        out = []
+        for fold in reversed(stack[1:]):
+            y, p = fold[z]
+            ranked = _ranked(list(map(operator.add, y, p)))
+            order = [ranked[i] for i in order]
+            out.append(tuple(p[i] for i in order))
+            z = y
+        out.append(tuple(z[i] for i in order))
+        return tuple(reversed(out))
+
+    def add(v: list[int], sizes, z: Vector, e_a: int, a: int, b: int) -> None:
         key = tuple(sorted(v, reverse=True))
         if key in level:
             return
         order = _ranked(v)
-        level[key] = _Recipe(
-            sizes, tuple(tuple(q[i] for i in order) for q in parts), e_a, order.index(a), order.index(b)
-        )
+        level[key] = _Recipe(sizes, parts(z, order), e_a, order.index(a), order.index(b))
         if limit is not None and len(level) > limit:
             raise _OverNodeBudget("node budget exhausted")
 
-    def extend(fold: dict, block: dict) -> dict:
+    def extend(fold: dict, size: int) -> dict:
         """Sums of the fold's vectors with a coloring of one more block."""
-        out: dict[Vector, tuple[Vector, ...]] = {}
-        for y, parts in fold.items():
+        out: dict[Vector, tuple[Vector, Vector]] = {}
+        for y in fold:
             _tick(deadline)
             runs = _runs(y)
-            for x in block:
-                spreads = spread_memo.get((x, runs))
-                if spreads is None:
-                    spreads = spread_memo[x, runs] = _spreads(x, runs)
-                for p in spreads:
-                    w = [i + j for i, j in zip(y, p)]
-                    z = tuple(sorted(w, reverse=True))
-                    if z not in out:
-                        order = _ranked(w)
-                        out[z] = tuple(tuple(q[i] for i in order) for q in (*parts, p))
-                        if limit is not None and len(out) > limit:
-                            raise _OverNodeBudget("node budget exhausted")
+            spreads = spread_lists.get((size, runs))
+            if spreads is None:
+                spreads = [p for x in levels[size] for p in _spreads(x, runs)]
+                spreads = spread_lists.setdefault((size, runs), spreads)
+            for p in spreads:
+                z = tuple(sorted(map(operator.add, y, p), reverse=True))
+                if z not in out:
+                    out[z] = (y, p)
+                    if limit is not None and len(out) > limit:
+                        raise _OverNodeBudget("node budget exhausted")
         return out
 
-    def cross(fold: dict, sizes: tuple[int, ...]) -> None:
+    def cross(fold: dict, sizes: tuple[int, ...], shares: Optional[list[int]]) -> None:
         """Add the cross pairs' colors to every sum of the blocks."""
-        _, reach = _pair_subsets(sizes)
-        total = max(reach)
-        # The larger share goes to either color through the ordered pairs.
-        shares = [e for e in reach if 0 < e and 2 * e <= total]
-        for y, parts in fold.items():
+        total = (s * s - sum(t * t for t in sizes)) // 2
+        for y in fold:
             _tick(deadline)
             heads = [i for i, v in enumerate(y) if i == 0 or v != y[i - 1]]
-            if len(sizes) == 2:
+            if shares is None:
                 for a in heads:
                     v = list(y)
                     v[a] += total
-                    add(v, sizes, parts, total, a, a)
+                    add(v, sizes, y, total, a, a)
                 continue
+            # The larger share goes to either color through the ordered pairs.
             colors = [(a, b) for a in heads for b in heads if a != b]
             colors += [(a, a + 1) for a in heads if a + 1 < len(y) and y[a + 1] == y[a]]
             for a, b in colors:
@@ -194,19 +272,23 @@ def _fill_level(
                     v = list(y)
                     v[a] += total - e
                     v[b] += e
-                    add(v, sizes, parts, total - e, a, b)
+                    add(v, sizes, y, total - e, a, b)
 
-    def visit(fold: dict, sizes: tuple[int, ...], left: int) -> None:
-        """Blocks of non-increasing sizes: all of them, or more to come."""
-        if left == 0:
-            cross(fold, sizes)
-            return
-        for part in range(min(sizes[-1] if sizes else s - 1, left), 0, -1):
-            if len(sizes) == 2 and part == left:
-                continue  # three blocks: covered by two
-            visit(extend(fold, levels[part]), sizes + (part,), left - part)
-
-    visit({(0,) * k: ()}, (), s)
+    done: tuple[int, ...] = ()
+    for sizes, shares in _splits(s):
+        depth = 0
+        while depth < len(done) and sizes[depth] == done[depth]:
+            depth += 1
+        del stack[depth:]
+        for size in sizes[depth:]:
+            if stack:
+                stack.append(extend(stack[-1], size))
+            else:  # one block: its own level
+                if limit is not None and len(levels[size]) > limit:
+                    raise _OverNodeBudget("node budget exhausted")
+                stack.append(levels[size])
+        done = sizes
+        cross(stack[-1], sizes, shares)
 
 
 def _rebuild(levels: list, n: int, key: Vector) -> np.ndarray:

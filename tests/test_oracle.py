@@ -282,6 +282,82 @@ class TestStructural:
                 entries += 1
         assert (entries, h.hexdigest()) == self.ENTRY_PIN[k]
 
+    # sha256 over repr(list(level.items())) of levels 2..top in order, with
+    # the level sizes: keys, insertion order and recipes.  From K_9 on some
+    # splits into four blocks add entries, and the builder leaves out the
+    # shares and folds that cannot; these are the tables of the builder
+    # that took every split.
+    LEVEL_PIN = {
+        3: ([1, 2, 6, 14, 27, 48, 80, 127, 192, 280, 397],
+            "3cbb6cbebcc26362a992a652aec8c1cd8e823571728bf68448c25f42d10928a5"),
+        4: ([1, 2, 6, 17, 50, 119, 249, 478, 864, 1495],
+            "301366e53bb2df924c3971053b40db5947f164aea96200e246c70cd488fa93d8"),
+        5: ([1, 2, 6, 17, 56, 171, 498, 1215, 2611],
+            "bbba74c067f6771aeec0fb366882b2f8d3cd9d4215974415e81458c1ae0f3255"),
+        6: ([1, 2, 6, 17, 56, 182, 637, 1993, 5623, 13601],
+            "d82cfb4cc7524a13b79fdd0be858b1775ee2f38a4d46b7afffd8baf99c0ec13a"),
+        7: ([1, 2, 6, 17, 56, 182, 660, 2323, 8134],
+            "5c0c597236e9930cc0d4cb062efc816fcf2828aa423caa8ecc3ee3637efe3c87"),
+    }
+
+    @pytest.mark.parametrize("k", sorted(LEVEL_PIN))
+    def test_levels_keep_keys_order_and_recipes(self, k):
+        import hashlib
+
+        from gallai import oracle
+
+        sizes, digest = self.LEVEL_PIN[k]
+        top = len(sizes) + 1
+        oracle._structural(top, (0,) * k, None, None)
+        levels = oracle._TABLES[k][2 : top + 1]
+        h = hashlib.sha256()
+        for level in levels:
+            h.update(repr(list(level.items())).encode())
+        assert ([len(level) for level in levels], h.hexdigest()) == (sizes, digest)
+
+    def test_dropped_shares_have_a_one_color_block(self):
+        # Brute force over every split of the cross pairs between the two
+        # colors: a share is dropped exactly when some split reaching it
+        # gives every pair at one block one color.
+        from gallai import oracle
+
+        for s in range(4, 11):
+            for m in (4, 5):
+                for sizes in partitions(s, m):
+                    pairs = [(i, j) for j in range(m) for i in range(j)]
+                    weights = [sizes[i] * sizes[j] for i, j in pairs]
+                    at = [sum(1 << q for q, pair in enumerate(pairs) if i in pair) for i in range(m)]
+                    reached, cut = set(), set()
+                    for split in range(1 << len(pairs)):
+                        e = sum(w for q, w in enumerate(weights) if split >> q & 1)
+                        reached.add(e)
+                        if any(split & bits in (0, bits) for bits in at):
+                            cut.add(e)
+                    shares = [e for e in reached if 0 < e and 2 * e <= sum(weights)]
+                    kept = oracle._kept_shares(sizes)
+                    assert sorted(kept) == [e for e in sorted(shares) if e not in cut], sizes
+
+    def test_two_blocks_make_every_level_up_to_k8(self, monkeypatch):
+        from gallai import oracle
+
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        monkeypatch.setattr(oracle, "_SPREADS", {})
+        real_splits, taken = oracle._splits, []
+
+        def splits(s):
+            out = real_splits(s)
+            taken.extend(sizes for sizes, _ in out)
+            return out
+
+        monkeypatch.setattr(oracle, "_splits", splits)
+        oracle._structural(8, (0,) * 5, None, None)
+        # Only the prefixes of these sizes are folded.
+        assert taken and all(len(sizes) == 2 for sizes in taken)
+        assert [len(level) for level in oracle._TABLES[5]] == [0, 1, 1, 2, 6, 17, 56, 171, 498]
+        taken.clear()
+        oracle._structural(9, (0,) * 5, None, None)
+        assert (5, 2, 1, 1) in taken and (4, 3, 1, 1) in taken
+
     def test_needs_more_than_two_blocks(self):
         # Every coloring of K_9 with these sizes is a substitution into a
         # 2-colored K_m, m >= 4, with no one-colored cut; star search finds
