@@ -114,7 +114,9 @@ def star_partition_for(
     Backtracking over the labels n-1, n-2, ..., 1 (largest first), placing
     each into one of the k groups; among groups with equal residual need
     only the first is tried.  Exhaustion without success proves that no
-    special coloring of d exists.
+    special coloring of d exists.  The search is one loop over the groups
+    placed so far, with no recursion: backtracking pops the last label's
+    group, gives its label back and tries the next group.
 
     Every node, and the root, must pass the capacity bound
     (``_capacity_ok``): with only the labels 1..top left, the nonzero
@@ -131,33 +133,29 @@ def star_partition_for(
     residual = list(d.sizes)
     if not _capacity_ok(residual, n - 1):
         return None
-    assign = [0] * (n - 1)
-    nodes = 0
-
-    def place(idx: int) -> bool:
-        nonlocal nodes
-        if idx == n - 1:
-            return True
-        label = n - 1 - idx
-        tried = set()
-        for g in range(k):
+    assign: list[int] = []  # assign[i] is the group of label n - 1 - i
+    nodes = g = 0
+    while len(assign) < n - 1:
+        label = n - 1 - len(assign)
+        for g in range(g, k):
             r = residual[g]
-            if r < label or r in tried:
+            # The other residuals are restored: an equal one before g was tried.
+            if r < label or r in residual[:g]:
                 continue
-            tried.add(r)
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceeded(f"star partition search exceeded {max_nodes} nodes")
             residual[g] = r - label
             if _capacity_ok(residual, label - 1):
-                assign[idx] = g
-                if place(idx + 1):
-                    return True
+                assign.append(g)
+                g = 0
+                break
             residual[g] = r
-        return False
-
-    if not place(0):
-        return None
+        else:
+            if not assign:
+                return None
+            residual[assign[-1]] += label + 1
+            g = assign.pop() + 1
     groups: list[list[int]] = [[] for _ in range(k)]
     for idx, g in enumerate(assign):
         groups[g].append(n - 1 - idx)

@@ -163,23 +163,16 @@ def _splits(s: int) -> list[tuple[tuple[int, ...], Optional[list[int]]]]:
     level, in the order it takes them, each with the shares of its second
     cross color (None for two blocks: their cross pairs take one color).
 
-    Sizes do not increase, from at most s - 1; three blocks are covered by
-    two, and m >= 4 blocks only with a share ``_kept_shares`` keeps.
+    Sizes do not increase, and the splits come in descending order; three
+    blocks are covered by two, and m >= 4 blocks only with a share
+    ``_kept_shares`` keeps.
     """
     out: list[tuple[tuple[int, ...], Optional[list[int]]]] = []
-
-    def walk(sizes: tuple[int, ...], left: int) -> None:
-        if left == 0:
-            shares = None if len(sizes) == 2 else _kept_shares(sizes)
-            if shares is None or shares:
-                out.append((sizes, shares))
-            return
-        for part in range(min(sizes[-1] if sizes else s - 1, left), 0, -1):
-            if len(sizes) == 2 and part == left:
-                continue  # three blocks: covered by two
-            walk(sizes + (part,), left - part)
-
-    walk((), s)
+    splits = (p for m in range(2, s + 1) if m != 3 for p in partitions(s, m))
+    for sizes in sorted(splits, reverse=True):
+        shares = None if len(sizes) == 2 else _kept_shares(sizes)
+        if shares is None or shares:
+            out.append((sizes, shares))
     return out
 
 

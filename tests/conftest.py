@@ -189,3 +189,52 @@ def _backtrack(n: int, sizes: tuple[int, ...]) -> tuple[str, Optional[tuple[int,
         masks[nt] = m2
         ptrs[nt] = 0
         t = nt
+
+
+# ---------------------------------------------------------------------------
+# Recursive star-partition search: the reference for the library's flat loop
+# ---------------------------------------------------------------------------
+
+def recursive_star_partition(d, max_nodes: Optional[int] = 5_000_000):
+    """The star-partition search as one Python frame per label, with a set
+    of the residuals tried at each depth: the same order, pruning and node
+    count as ``construct.star_partition_for``.  Returns its StarPartition or
+    None, and raises BudgetExceeded past max_nodes."""
+    from gallai.construct import _capacity_ok
+    from gallai.core import BudgetExceeded, star_partition
+
+    n, k = d.n, d.k
+    residual = list(d.sizes)
+    if not _capacity_ok(residual, n - 1):
+        return None
+    assign = [0] * (n - 1)
+    nodes = 0
+
+    def place(idx: int) -> bool:
+        nonlocal nodes
+        if idx == n - 1:
+            return True
+        label = n - 1 - idx
+        tried = set()
+        for g in range(k):
+            r = residual[g]
+            if r < label or r in tried:
+                continue
+            tried.add(r)
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceeded(f"star partition search exceeded {max_nodes} nodes")
+            residual[g] = r - label
+            if _capacity_ok(residual, label - 1):
+                assign[idx] = g
+                if place(idx + 1):
+                    return True
+            residual[g] = r
+        return False
+
+    if not place(0):
+        return None
+    groups: list[list[int]] = [[] for _ in range(k)]
+    for idx, g in enumerate(assign):
+        groups[g].append(n - 1 - idx)
+    return star_partition(n, groups)

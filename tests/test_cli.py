@@ -234,6 +234,17 @@ class TestEnumerateAndG:
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
+    # ``oracle.partitions`` takes one frame per part, so neither request can
+    # finish; exit 1 would claim an answer.
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--n", "60", "--k", "1200"], ["compute-g", "--k", "1200", "--n-max", "2398"]],
+    )
+    def test_recursion_too_deep_is_unknown(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 3 and stdout == ""
+        assert stderr == "error: recursion too deep; no answer was reached\n"
+
     def test_compute_g(self, capsys):
         code, stdout, _ = run(capsys, "compute-g", "--k", "3", "--n-max", "6")
         assert code == 0 and stdout.strip() == "5"

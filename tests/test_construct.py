@@ -159,6 +159,59 @@ class TestStarPartitionSearch:
         assert sp is not None
         verified(special_coloring(sp), sizes)
 
+    @staticmethod
+    def _outcome(search, d, budget):
+        """A search's partition or None, or its BudgetExceeded message;
+        budget "default" leaves max_nodes out."""
+        try:
+            return search(d) if budget == "default" else search(d, max_nodes=budget)
+        except BudgetExceeded as exc:
+            return "budget", str(exc)
+
+    def test_matches_the_recursive_reference(self):
+        import random
+
+        from conftest import recursive_star_partition
+
+        # Every distribution of K_n, n <= 8, and seeded random compositions
+        # with k = 5..9 and n = 2k..60: the same partition, or the same
+        # budget verdict, at each budget.
+        cases = [
+            canonicalize(sizes, n)
+            for n in range(1, 9)
+            for k in range(1, total_edges(n) + 1)
+            for sizes in partitions(total_edges(n), k)
+        ]
+        rng = random.Random(25)
+        for _ in range(400):
+            k = rng.randint(5, 9)
+            n = rng.randint(2 * k, 60)
+            cuts = sorted(rng.sample(range(1, total_edges(n)), k - 1))
+            cases.append(canonicalize([b - a for a, b in zip([0] + cuts, cuts + [total_edges(n)])], n))
+        budgeted = 0
+        for d in cases:
+            for budget in (1, 3, 10, 100, 10**4, "default"):
+                got = self._outcome(star_partition_for, d, budget)
+                assert got == self._outcome(recursive_star_partition, d, budget), (d, budget)
+                budgeted += isinstance(got, tuple)
+        assert budgeted > 0
+
+    def test_k1000_search_needs_no_recursion(self):
+        # The search took one frame per label and went past the recursion
+        # limit from about K_995 on, so construct exited 1, a false "not
+        # constructed".  Here the limit leaves 50 frames above the test's own.
+        sizes = (101933, 100537, 63284, 55200, 38676, 33087, 28737, 24088, 23682, 20180, 8622, 1474)
+        d = canonicalize(sizes, 1000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            sp = star_partition_for(d)
+            c = construct_any(d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sp is not None and c == special_coloring(sp)
+        assert is_special_coloring(c) and class_sizes(c) == d
+
 
 class TestDivision:
     def test_spec_examples(self):

@@ -337,6 +337,26 @@ class TestStructural:
                     kept = oracle._kept_shares(sizes)
                     assert sorted(kept) == [e for e in sorted(shares) if e not in cut], sizes
 
+    def test_splits_are_every_partition_but_three_blocks(self):
+        # Brute force over every composition of s, its cuts as a bit mask:
+        # the non-increasing ones with 2 or m >= 4 parts, in descending
+        # order, each kept with its shares unless ``_kept_shares`` has none.
+        from gallai import oracle
+
+        for s in range(2, 17):
+            sizes_of = set()
+            for cuts in range(1, 1 << (s - 1)):
+                ends = [i for i in range(1, s) if cuts >> (i - 1) & 1] + [s]
+                parts = tuple(b - a for a, b in zip([0] + ends, ends))
+                if len(parts) != 3 and list(parts) == sorted(parts, reverse=True):
+                    sizes_of.add(parts)
+            want = []
+            for sizes in sorted(sizes_of, reverse=True):
+                shares = None if len(sizes) == 2 else oracle._kept_shares(sizes)
+                if shares != []:
+                    want.append((sizes, shares))
+            assert oracle._splits(s) == want, s
+
     def test_two_blocks_make_every_level_up_to_k8(self, monkeypatch):
         from gallai import oracle
 
@@ -449,6 +469,29 @@ class TestStructural:
         # vector each: its second entry, not a fold, goes past the budget.
         assert oracle._structural(3, (1, 1, 1), 2, None) == ("unknown", None, 2)
         assert stops == ["add"]
+
+    def test_node_budget_stops_a_fold(self, monkeypatch):
+        import traceback
+
+        from gallai import oracle
+
+        # Hand-made levels: K_5's split (4, 1) adds two entries, and the fold
+        # of K_3's one vector with K_2's five, taken for (3, 2), holds four
+        # sums before the level reaches the limit of three.  The spreads of
+        # these levels must not reach a real table.
+        monkeypatch.setattr(oracle, "_SPREADS", {})
+        levels = [
+            {},
+            {(0, 0, 0): None},
+            {(1, 0, 0): None, (0, 1, 0): None, (2, 0, 0): None, (3, 0, 0): None, (4, 0, 0): None},
+            {(3, 0, 0): None},
+            {(6, 0, 0): None},
+        ]
+        level = {}
+        with pytest.raises(oracle._OverNodeBudget) as exc:
+            oracle._fill_level(level, levels, 5, 3, 3, None)
+        assert traceback.extract_tb(exc.value.__traceback__)[-1].name == "extend"
+        assert len(level) == 2
 
     def test_threads_share_one_table(self, monkeypatch):
         import sys
