@@ -165,9 +165,9 @@ def _cmd_export_dot(args) -> int:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None,
-                   help="node budget for the search; bounds its memory, not its time")
+                   help="table entry budget; bounds the table's memory, not its time")
     p.add_argument("--budget-ms", type=int, default=None,
-                   help="wall-clock budget in ms; the only bound on time")
+                   help="wall-clock budget in ms; bounds the table, not star search")
 
 
 def build_parser() -> argparse.ArgumentParser:

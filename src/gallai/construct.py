@@ -8,11 +8,12 @@ that breaks raises (``InvariantViolation`` from ``star_partition`` for a bad
 label partition, ``InternalScheduleError`` for wrong class sizes).
 
 ``_peeled`` peels a distribution to K_{g(k)}, for the k whose threshold
-g(k) is known (``_THRESHOLDS``), or else to K_{8k^2+1}.  A K_{8k^2+1} base
-is the paper's block construction (``_gk_phases``); a K_{g(k)} base asks
-``oracle.search_realizable``, which tries star search and then its table
-of Gallai substitutions, and certifies its witness.  Below K_9 outside the
-guaranteed regions, ``construct_any`` returns the oracle's answer as it is.
+g(k) is known (``_THRESHOLDS``), or else to K_{8k^2+1}, whose base is the
+paper's block construction (``_gk_phases``).  ``_route`` is the one route
+to an answer outside those regions, and to a K_{g(k)} base: the necessary
+condition, star search under the one budget ``_STAR_NODES``, then, where
+asked, the oracle's table of Gallai substitutions.  ``construct_any`` asks
+for the table below K_9, ``oracle.search_realizable`` always.
 
 Substitutions are written as colex rows of one-color runs: a star, joined
 or special, is one run per row, and a block row of the 8k^2+1 construction
@@ -29,6 +30,7 @@ as a wrong coloring.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -106,8 +108,11 @@ def special_coloring(sp: StarPartition) -> Coloring:
     return Coloring(sp.n, np.repeat(stars, np.arange(1, sp.n)))
 
 
+_STAR_NODES = 2_000_000  # star search's node budget on every route
+
+
 def star_partition_for(
-    d: Distribution, *, max_nodes: Optional[int] = 5_000_000
+    d: Distribution, *, max_nodes: Optional[int] = _STAR_NODES
 ) -> Optional[StarPartition]:
     """Find a star partition realizing d, or None when none exists.
 
@@ -559,7 +564,7 @@ def _construct_guaranteed(d: Distribution) -> Coloring:
 def _peeled(d: Distribution, g: int) -> Coloring:
     """d peeled to K_g, its base built and the stars put back; the base
     alone when nothing was peeled.  A base with k classes comes from
-    ``_gk_phases`` at g = 8k^2+1, else from ``oracle.search_realizable``;
+    ``_gk_phases`` at g = 8k^2+1, else from ``_route`` with the table;
     one with fewer, such as (5,5)/K_5 from (5,5,5)/K_6, from
     ``_construct_guaranteed``."""
     base, log = peel_reduction(d, g)
@@ -567,7 +572,7 @@ def _peeled(d: Distribution, g: int) -> Coloring:
         built = _construct_guaranteed(base)
     elif g == 8 * d.k * d.k + 1:
         built = _gk_phases(base)
-    elif (built := oracle.search_realizable(base).witness) is None:
+    elif isinstance(built := _route(base, table=True)[0], NotConstructed):
         raise InternalScheduleError(f"no coloring found for {base} (expected total)")
     return replay_peel(built, d, log) if log else built
 
@@ -612,35 +617,45 @@ def merge_classes(c: Coloring, grouping: Iterable[Iterable[int]]) -> Coloring:
     return Coloring(c.n, table[c.colex_colors()])
 
 
+def _route(
+    d: Distribution, *, table: bool, max_nodes: Optional[int] = None, max_ms: Optional[int] = None
+) -> tuple[Coloring | NotConstructed, int]:
+    """The certified coloring or the refusal for d, and the table entries
+    counted: the necessary condition, star search, then, if ``table``,
+    ``oracle._structural`` under the budgets.  Star search is bounded by
+    ``_STAR_NODES`` alone; running out leaves the answer to the table."""
+    ok, ell = verify.check_necessary(d)
+    if not ok:
+        return NotConstructed("necessary-condition failure", f"prefix bound fails at l={ell}"), 0
+    deadline = time.monotonic() + max_ms / 1000.0 if max_ms is not None else None
+    try:
+        sp = star_partition_for(d)
+    except BudgetExceeded:
+        if not table:
+            return NotConstructed("unknown", "star partition search exceeded its budget"), 0
+        sp = None
+    if sp is not None:
+        return _checked(special_coloring(sp), d, special=True), 0
+    if not table:
+        return NotConstructed("unknown", "no special coloring found and n too large for the oracle"), 0
+    tag, colors, nodes = oracle._structural(d.n, d.sizes, max_nodes, deadline)
+    if tag == "feasible":
+        return _checked(Coloring(d.n, colors), d), nodes
+    if tag == "infeasible":
+        return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility"), nodes
+    return NotConstructed("unknown", "table search exceeded its budget"), nodes
+
+
 def construct_any(d: Distribution) -> Coloring | NotConstructed:
-    """Dispatch to the guaranteed builders, else best effort.
+    """Dispatch to the guaranteed builders, else ``_route``.
 
     Guaranteed regions: k <= 2 always; n >= g(k) for each k in
     ``_THRESHOLDS`` (g(3) = 5, g(4) = 8), by peeling to K_{g(k)}; any other
-    k with n >= 8k^2+1.  Outside them, for n <= 8,
-    ``oracle.search_realizable`` decides exactly: the necessary condition,
-    star search, then its table of Gallai substitutions, which holds every
-    count vector of K_n; a table witness is a substitution, not a special
-    coloring.  The necessary condition is checked again only to word a
-    refusal.  Larger n get it, then a star-partition search alone, and stay
-    ``unknown`` when that finds nothing.
+    k with n >= 8k^2+1.  Outside them the route decides n <= 8 exactly, with
+    the table of every count vector of K_n; larger n get the necessary
+    condition and star search alone, and stay ``unknown`` when that fails.
     """
     k, n = d.k, d.n
     if k <= 2 or n >= _THRESHOLDS.get(k, 8 * k * k + 1):
         return _checked(_construct_guaranteed(d), d)
-    # With no budget and no deadline the oracle always decides.
-    witness = oracle.search_realizable(d).witness if n <= 8 else None
-    if witness is not None:
-        return witness
-    ok, ell = verify.check_necessary(d)
-    if not ok:
-        return NotConstructed("necessary-condition failure", f"prefix bound fails at l={ell}")
-    if n <= 8:
-        return NotConstructed("fallback exhausted", "exhaustive search proved infeasibility")
-    try:
-        sp = star_partition_for(d, max_nodes=2_000_000)
-    except BudgetExceeded:
-        return NotConstructed("unknown", "star partition search exceeded its budget")
-    if sp is None:
-        return NotConstructed("unknown", "no special coloring found and n too large for the oracle")
-    return _checked(special_coloring(sp), d, special=True)
+    return _route(d, table=n <= 8)[0]

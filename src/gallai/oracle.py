@@ -1,10 +1,12 @@
 """Exact decision procedures for small instances.
 
-``search_realizable`` answers from Gallai's decomposition (T. Gallai,
-*Transitiv orientierbare Graphen*, 1967; Gyárfás–Simonyi, J. Graph Theory
-46, 2004): every rainbow-free coloring of K_s with s >= 2 is a 2-colored
-K_m (m >= 2) with rainbow-free colorings substituted into its vertices, and
-every such substitution is rainbow-free.  So the count vectors K_s realizes
+``search_realizable`` takes the one route of ``construct._route``: the
+necessary condition, star search, then the table (``_structural``), which
+answers from Gallai's decomposition (T. Gallai, *Transitiv orientierbare
+Graphen*, 1967; Gyárfás–Simonyi, J. Graph Theory 46, 2004): every
+rainbow-free coloring of K_s with s >= 2 is a 2-colored K_m (m >= 2) with
+rainbow-free colorings substituted into its vertices, and every such
+substitution is rainbow-free.  So the count vectors K_s realizes
 follow exactly from those of smaller cliques.  For each color count k a
 process-wide table holds, level by level, every count vector some
 rainbow-free coloring of K_s realizes, as a non-increasing k-tuple with
@@ -56,7 +58,6 @@ import numpy as np
 
 from .core import (
     BudgetExceeded,
-    Coloring,
     Distribution,
     PreconditionViolated,
     Verdict,
@@ -65,7 +66,7 @@ from .core import (
     _colex_runs,
     _ranked,
 )
-from . import verify
+from . import construct
 
 Vector = tuple[int, ...]
 
@@ -348,37 +349,21 @@ def _check_budgets(max_nodes: Optional[int], max_ms: Optional[int]) -> None:
 
 
 def search_realizable(
-    d: Distribution,
-    *,
-    max_nodes: Optional[int] = None,
-    max_ms: Optional[int] = None,
+    d: Distribution, *, max_nodes: Optional[int] = None, max_ms: Optional[int] = None
 ) -> Verdict:
-    """Decide whether any rainbow-free coloring realizes d.
+    """Decide whether any rainbow-free coloring realizes d, by
+    ``construct._route`` with the table.
 
-    feasible comes with a verified witness; infeasible means no count
-    vector of K_n matches; unknown means a budget was hit.  Meant for small
-    n: the table for K_n holds every realizable count vector of every
-    smaller clique.
+    feasible comes with a certified witness; infeasible means the necessary
+    condition fails or no count vector of K_n matches; unknown means a
+    budget was hit.  The table suits small n: it holds every realizable
+    count vector of every smaller clique.
     """
     _check_budgets(max_nodes, max_ms)
-    ok, _ = verify.check_necessary(d)
-    if not ok:
-        return Verdict("infeasible", None, 0)
-    deadline = time.monotonic() + max_ms / 1000.0 if max_ms is not None else None
-    # Constructive fast path: a special coloring is a certificate.
-    from . import construct
-
-    try:
-        sp = construct.star_partition_for(d, max_nodes=100_000)
-    except BudgetExceeded:
-        sp = None
-    if sp is not None:
-        witness = construct._checked(construct.special_coloring(sp), d, special=True)
-        return Verdict("feasible", witness, 0)
-    tag, colors, nodes = _structural(d.n, d.sizes, max_nodes, deadline)
-    if tag == "feasible":
-        return Verdict(tag, construct._checked(Coloring(d.n, colors), d), nodes)
-    return Verdict(tag, None, nodes)
+    answer, nodes = construct._route(d, table=True, max_nodes=max_nodes, max_ms=max_ms)
+    if isinstance(answer, construct.NotConstructed):
+        return Verdict("unknown" if answer.reason == "unknown" else "infeasible", None, nodes)
+    return Verdict("feasible", answer, nodes)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from gallai.construct import _STAR_NODES
 from gallai.core import Coloring, total_edges
 
 
@@ -195,7 +196,7 @@ def _backtrack(n: int, sizes: tuple[int, ...]) -> tuple[str, Optional[tuple[int,
 # Recursive star-partition search: the reference for the library's flat loop
 # ---------------------------------------------------------------------------
 
-def recursive_star_partition(d, max_nodes: Optional[int] = 5_000_000):
+def recursive_star_partition(d, max_nodes: Optional[int] = _STAR_NODES):
     """The star-partition search as one Python frame per label, with a set
     of the residuals tried at each depth: the same order, pruning and node
     count as ``construct.star_partition_for``.  Returns its StarPartition or

@@ -17,7 +17,6 @@ from gallai.core import (
     PeelImpossible,
     PreconditionViolated,
     TooManyColors,
-    Verdict,
     balanced_sizes,
     canonicalize,
     star_partition,
@@ -737,20 +736,20 @@ class TestMergeClasses:
 
 class TestConstructAny:
     def test_base_with_no_witness_is_an_internal_error(self, monkeypatch, capsys):
-        # At n = g(4) = 8 nothing is peeled, and the oracle must build the
-        # base.  Should it ever answer without a witness, the guard refuses,
-        # and the CLI says "unknown" (exit 3) rather than "infeasible".
-        from gallai import oracle
+        # At n = g(4) = 8 nothing is peeled, and the route with the table
+        # must build the base.  Should it ever answer without a coloring,
+        # the guard refuses, and the CLI says "unknown" (exit 3) rather than
+        # "infeasible".
         from gallai.cli import main
 
         d = canonicalize([16, 4, 4, 4], 8)
         message = f"no coloring found for {d} (expected total)"
-        real = oracle.search_realizable
+        real = construct._route
 
-        def search(e, *args, **kwargs):
-            return Verdict("unknown", None, 0) if e == d else real(e, *args, **kwargs)
+        def route(e, *args, **kwargs):
+            return (NotConstructed("unknown"), 0) if e == d else real(e, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "search_realizable", search)
+        monkeypatch.setattr(construct, "_route", route)
         with pytest.raises(InternalScheduleError, match=re.escape(message)):
             construct_any(d)
         assert main(["construct", "--n", "8", "--dist", "16,4,4,4"]) == 3
@@ -962,13 +961,33 @@ class TestWorkCounts:
         monkeypatch.setattr(verify, "check_necessary", check)
         c, calls = self._counted(monkeypatch, lambda: construct_any(d))
         assert len(stars) == 1
-        # search_realizable checks the necessary condition; construct_any
-        # asks it first and checks again only to word a refusal.
+        # The one route checks the necessary condition once, before star search.
         assert len(necessary) == 1
         assert calls["rainbow_witness"] == 1
-        # The table witness construct_any returned when it asked search_realizable.
+        # The table witness the route returned.
         assert c == Coloring(6, [2, 2, 2, 3, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 4])
         verified(c, d.sizes)
+
+    @pytest.mark.parametrize("sizes, n, reason", [
+        ((7, 3, 2, 2, 1), 6, "fallback exhausted"),  # the table refuses it
+        ((2, 2, 2), 4, "necessary-condition failure"),  # the prefix bound refuses it
+    ])
+    def test_each_refusal_checks_the_necessary_condition_once(
+        self, monkeypatch, sizes, n, reason
+    ):
+        from gallai import verify
+
+        necessary = []
+        real_necessary = verify.check_necessary
+
+        def check(*args):
+            necessary.append(args)
+            return real_necessary(*args)
+
+        monkeypatch.setattr(verify, "check_necessary", check)
+        result = construct_any(canonicalize(sizes, n))
+        assert isinstance(result, NotConstructed) and result.reason == reason
+        assert len(necessary) == 1
 
     @pytest.mark.parametrize("n", [5, 6, 9, 30])
     def test_replay_builds_one_coloring(self, monkeypatch, n):

@@ -77,6 +77,17 @@ class TestSearch:
         payload = v.to_json_dict()
         assert payload["tag"] == "feasible" and "witness" in payload
 
+    def test_star_search_has_the_budget_of_construct(self):
+        # Star search needs more than 10^5 nodes here, and finds a special
+        # coloring within the one budget both routes share; with no table
+        # entry to spend, the answer is construct_any's coloring.
+        from gallai import construct_any
+
+        d = canonicalize([210, 206, 197, 166, 129, 115, 52, 49, 4], 48)
+        v = search_realizable(d, max_nodes=0)
+        assert v.is_feasible and v.nodes_explored == 0
+        assert v.witness == construct_any(d)
+
     @pytest.mark.parametrize("sizes, n, tag", [((5, 4, 3, 3), 6, "feasible"),
                                                ((7, 3, 2, 2, 1), 6, "infeasible")])
     def test_star_search_over_budget_leaves_the_table_verdict(self, monkeypatch, sizes, n, tag):
